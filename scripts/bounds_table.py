@@ -20,7 +20,7 @@ Example:
 import argparse
 import sys
 
-from repgame.divergence import find_alpha_star
+from repgame.divergence import find_alpha_star, separation_value
 from repgame.scenarios import product_choice
 from repgame.scores import ci_payoff_set, reputation_lower_bound, stackelberg
 
@@ -45,7 +45,7 @@ def main(argv=None):
         cf_hi = max(1.0, 2.0 - (1.0 - p) / (p - args.q))
         mixed_val, _ = stackelberg(game, args.grid)
         pure_val, _ = stackelberg(game, args.grid, pure=True)
-        found = find_alpha_star(fw, game.rho)
+        found = find_alpha_star(separation_value(fw, game.rho))
         if found is None:
             floor = "-"
         else:

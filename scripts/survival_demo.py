@@ -25,7 +25,7 @@ import numpy as np
 
 from repgame.beliefs import (SimulationConfig, certificate_kl_ceiling,
                              discounted_kl_certificate, simulate_batch)
-from repgame.divergence import find_alpha_star
+from repgame.divergence import find_alpha_star, separation_value
 from repgame.game import Distribution
 from repgame.scenarios import counter_example, normal_misspec_scenario
 
@@ -60,7 +60,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     game, fw = counter_example(0.6, 0.3, 0.05, 0.55)
-    found = find_alpha_star(fw, game.rho)
+    found = find_alpha_star(separation_value(fw, game.rho))
     assert found is not None, "counter-example lost its attainable slice"
     m_star, alpha_star = found
     print("=== survival: normal play at alpha* reproduces the believed slice ===")

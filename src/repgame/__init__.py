@@ -16,8 +16,7 @@ from .divergence import (HullMembership, MinKLResult, SeparationReport, dc_dn,
                          min_kl_over_attainable, normal_favoring_check,
                          separation_value, tv)
 from .frameworks import Framework
-from .game import (Distribution, SignalStructure, StageGame, bilinear_payoffs,
-                   discounted_average, mix_signal_dist)
+from .game import Distribution, SignalStructure, StageGame, mix_signal_dist
 from .scenarios import (SCENARIOS, counter_example, normal_misspec_scenario,
                         perturbation_sequence, product_choice, three_signal)
 from .scores import (PayoffSetResult, ScoreResult, br2, ci_payoff_set, kappa,
@@ -31,9 +30,9 @@ __all__ = [
     "Distribution", "Framework", "HullMembership", "MinKLResult",
     "MonteCarloSummary", "PayoffSetResult", "SCENARIOS", "ScoreResult",
     "SeparationReport", "SignalStructure", "SimulationConfig", "StageGame",
-    "TrajectoryRecord", "azuma_diagnostic", "bayes_step", "bilinear_payoffs",
+    "TrajectoryRecord", "azuma_diagnostic", "bayes_step",
     "br2", "certificate_kl_ceiling", "ci_payoff_set", "counter_example", "dc_dn",
-    "decay_rate_fit", "discounted_average", "discounted_kl_certificate",
+    "decay_rate_fit", "discounted_kl_certificate",
     "find_alpha_star", "hull_membership", "kappa", "kl", "kstar",
     "min_kl_over_attainable", "mix_signal_dist", "monte_carlo",
     "normal_favoring_check", "normal_misspec_scenario", "optimality_loss",

@@ -411,23 +411,29 @@ def decay_rate_fit(curve: np.ndarray, *, window_frac: float = 0.5) -> DecayFit:
     Entries that have underflowed to zero cannot be logged; the window shrinks
     to its leading positive stretch with a warning rather than failing, since
     a reputation that underflows is decaying about as fast as floats can say.
+    If that leaves fewer than 2 points, the curve underflowed before the
+    window: the fit moves to the trailing ``window_frac`` of the curve's
+    positive prefix instead.
     """
     c = np.asarray(curve, dtype=float)
     if c.ndim != 1 or c.size < 4:
         raise ValueError("decay_rate_fit: need a 1-D curve with at least 4 points")
     start = c.size - max(2, int(round(c.size * window_frac)))
-    window = c[start:]
-    pos = window > 0.0
-    if not pos.all():
-        window = window[:int(np.argmax(~pos))]
+    end = c.size
+    pos = c > 0.0
+    if not pos[start:].all():
+        end = start + int(np.argmax(~pos[start:]))
+        if end - start < 2:
+            end = int(np.argmax(~pos))
+            start = max(0, end - max(2, int(round(end * window_frac))))
         warnings.warn(
-            f"decay_rate_fit: window shrunk to {window.size} points before underflow",
+            f"decay_rate_fit: window shrunk to {end - start} points before underflow",
             RuntimeWarning, stacklevel=2)
-    if window.size < 2:
+    if end - start < 2:
         raise ValueError("decay_rate_fit: fewer than 2 positive points in the window")
-    t = np.arange(start, start + window.size)
-    slope = float(np.polyfit(t, np.log(window), 1)[0])
-    return DecayFit(slope=slope, window=(start, start + window.size))
+    t = np.arange(start, end)
+    slope = float(np.polyfit(t, np.log(c[start:end]), 1)[0])
+    return DecayFit(slope=slope, window=(start, end))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 These enumerate mixed actions on a regular simplex lattice and take plain
 minima. They exist to audit the conditional-gradient projections and the
-closed-form distances; nothing else in the package calls into them, and they
-call into nothing but raw array math.
+closed-form distances, and they call into nothing but raw array math. The
+lattice itself, ``simplex_lattice``, is shared: the score programs and the
+Stackelberg search in ``scores`` enumerate commitments on it too.
 """
 
 from __future__ import annotations
@@ -12,20 +13,34 @@ import itertools
 
 import numpy as np
 
-__all__ = ["grid_min_kl_forward", "grid_min_kl_reverse", "simplex_lattice"]
+__all__ = ["grid_min_kl_forward", "grid_min_kl_reverse", "lattice_steps", "simplex_lattice"]
 
 _CHUNK = 250_000
+
+
+def lattice_steps(resolution: float) -> int:
+    """Steps k = 1/resolution of a lattice; ValueError unless k is a positive integer."""
+    if not 0.0 < resolution <= 1.0:
+        raise ValueError(f"resolution {resolution!r} must lie in (0, 1]")
+    k = round(1.0 / resolution)
+    if abs(k * resolution - 1.0) > 1e-9:
+        raise ValueError(f"resolution {resolution!r} must evenly divide 1")
+    return k
 
 
 def simplex_lattice(n: int, resolution: float):
     """Yield weight vectors with coordinates on multiples of ``resolution``.
 
     Exhaustive and combinatorial; intended for small n. The lattice always
-    contains every vertex and every lower face's lattice.
+    contains every vertex and every lower face's lattice. Two actions take a
+    plain loop, first weight ascending; callers that keep the first maximizer
+    rely on that order.
     """
-    k = round(1.0 / resolution)
-    if abs(k * resolution - 1.0) > 1e-9:
-        raise ValueError(f"resolution {resolution!r} must evenly divide 1")
+    k = lattice_steps(resolution)
+    if n == 2:
+        for i in range(k + 1):
+            yield np.array([i / k, (k - i) / k])
+        return
     for comp in itertools.combinations_with_replacement(range(n), k):
         counts = np.bincount(np.asarray(comp), minlength=n)
         yield counts / k

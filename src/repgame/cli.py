@@ -16,7 +16,8 @@ import os
 import secrets
 import sys
 
-from .beliefs import monte_carlo, simulate_run
+from .beliefs import TrajectoryRecord, monte_carlo
+from .bruteforce import lattice_steps
 from .configio import (ConfigError, ExperimentConfig, dump_document,
                        emit_scenario_document, load_config)
 from .divergence import find_alpha_star, separation_value
@@ -45,9 +46,14 @@ def _load(args) -> ExperimentConfig:
 
 
 def _grid(args, cfg: ExperimentConfig, default: float = 1e-2) -> float:
-    if args.grid is not None:
-        return args.grid
-    return float(cfg.bounds.get("grid", default))
+    """Lattice spacing from --grid or the bounds block; it must divide 1 evenly."""
+    raw = args.grid if args.grid is not None else cfg.bounds.get("grid", default)
+    try:
+        grid = float(raw)
+        lattice_steps(grid)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid {raw!r}: {exc}") from exc
+    return grid
 
 
 def cmd_check_separation(args) -> int:
@@ -62,7 +68,7 @@ def cmd_check_separation(args) -> int:
         "per_model_member": rep.membership,
     }
     if not rep.separating:
-        found = find_alpha_star(cfg.framework, cfg.game.rho)
+        found = find_alpha_star(rep)
         if found is not None:
             out["alpha_star_model"] = found[0]
             out["alpha_star"] = found[1].weights.tolist()
@@ -88,7 +94,7 @@ def cmd_bounds(args) -> int:
         "grid": ps.grid_resolution,
         "note": _BOUNDS_NOTE,
     }
-    found = find_alpha_star(cfg.framework, cfg.game.rho)
+    found = find_alpha_star(separation_value(cfg.framework, cfg.game.rho))
     if found is not None:
         out["reputation_bound_if_alpha_star"] = reputation_lower_bound(cfg.game, found[1])
         out["alpha_star"] = found[1].weights.tolist()
@@ -134,8 +140,7 @@ def cmd_simulate(args) -> int:
     out_dir = args.out or "."
     try:
         os.makedirs(out_dir, exist_ok=True)
-        rec = simulate_run(cfg.game, cfg.framework, sim, run_index=0)
-        rec.to_csv(os.path.join(out_dir, "trajectory.csv"))
+        TrajectoryRecord.from_batch(batch, 0).to_csv(os.path.join(out_dir, "trajectory.csv"))
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(summary.to_dict(), fh, indent=2)
             fh.write("\n")

@@ -13,7 +13,7 @@ shortest-round-trip floats.
       "framework":  {"models": [...], "kernels": [...], "prior": [[...], [...]],
                      "commitment_action": [...], "normal_correctly_specified": true},
       "simulation": {"delta": 0.95, "runs": 100, "master_seed": 1, ...},
-      "bounds":     {"grid": 0.001, "eta": 0.0}
+      "bounds":     {"grid": 0.001}
     }
 """
 
@@ -229,6 +229,9 @@ def load_config(source) -> ExperimentConfig:
     bounds = doc.get("bounds", {})
     if not isinstance(bounds, dict):
         raise ConfigError("'bounds' must be an object")
+    unknown = sorted(set(bounds) - {"grid"})
+    if unknown:
+        raise ConfigError(f"'bounds' takes only 'grid', got {unknown}")
     return ExperimentConfig(game=game, framework=framework, simulation=sim,
                             bounds=bounds, document=doc)
 

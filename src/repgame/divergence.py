@@ -336,17 +336,17 @@ def separation_value(framework: Framework, rho: SignalStructure) -> SeparationRe
     return SeparationReport(best_value, best_alpha, best_model, membership, witnesses, per_model)
 
 
-def find_alpha_star(framework: Framework, rho: SignalStructure, *, tol: float = 1e-8
+def find_alpha_star(report: SeparationReport, *, tol: float = 1e-8
                     ) -> tuple[str, Distribution] | None:
     """Model and mixed action reproducing a commitment slice exactly, if any.
 
-    Returns (m_star, alpha_star) with alpha_star the hull witness when the
-    separation value vanishes (within ``tol``); None for separating frameworks.
+    Reads a ``separation_value`` report. Returns (m_star, alpha_star) with
+    alpha_star the hull witness when the separation value vanishes (within
+    ``tol``); None for separating frameworks.
     """
-    report = separation_value(framework, rho)
     if report.value > tol:
         return None
-    members = [m for m in framework.models if report.membership[m]]
+    members = [m for m, member in report.membership.items() if member]
     if not members:
         return None
     m_star = min(members, key=lambda m: report.per_model_value[m])

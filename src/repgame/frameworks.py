@@ -93,11 +93,6 @@ class Framework:
         return len(self.models)
 
     @property
-    def kernel_floor(self) -> float:
-        """Smallest kernel entry; strictly positive by construction."""
-        return float(min(self.normal_kernels.min(), self.commitment_kernels.min()))
-
-    @property
     def commitment_slices(self) -> np.ndarray:
         """f(. | commitment action, commitment type, m) for each model; (n_models, n_signals)."""
         return np.einsum("a,may->my", self.commitment_action.weights, self.commitment_kernels)
@@ -113,9 +108,6 @@ class Framework:
         if alpha.labels != self.actions:
             raise ValueError("Framework.normal_mix: action labels mismatch")
         return np.einsum("a,may->my", alpha.weights, self.normal_kernels)
-
-    def type_marginal(self, type_index: int) -> float:
-        return float(self.prior[type_index].sum())
 
     def assert_normal_consistent(self, rho: SignalStructure) -> None:
         """Check the correctly-specified flag against the true monitoring structure."""

@@ -15,7 +15,7 @@ recomputed from ``v_tilde`` and ``rho`` rather than stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,10 +23,7 @@ __all__ = [
     "Distribution",
     "SignalStructure",
     "StageGame",
-    "DiscountedAverage",
     "mix_signal_dist",
-    "bilinear_payoffs",
-    "discounted_average",
 ]
 
 # Inputs are accepted iff they sum to 1 within this tolerance, then normalized.
@@ -100,9 +97,6 @@ class Distribution:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def support(self, cutoff: float = 1e-9) -> tuple[str, ...]:
-        return tuple(l for l, w in zip(self.labels, self.weights) if w > cutoff)
 
     def allclose(self, other: "Distribution", atol: float = 1e-12) -> bool:
         return self.labels == other.labels and bool(
@@ -232,38 +226,3 @@ def mix_signal_dist(rho: SignalStructure, alpha: Distribution) -> Distribution:
     if alpha.labels != rho.actions:
         raise ValueError(f"mix_signal_dist: action labels {alpha.labels} != {rho.actions}")
     return Distribution(rho.signals, alpha.weights @ rho.matrix)
-
-
-def bilinear_payoffs(game: StageGame, alpha: Distribution, beta: Distribution) -> tuple[float, float]:
-    """Expected (long-run, short-run) stage payoffs under mixed play."""
-    if alpha.labels != game.actions_long:
-        raise ValueError("bilinear_payoffs: alpha labels do not match long-run actions")
-    if beta.labels != game.actions_short:
-        raise ValueError("bilinear_payoffs: beta labels do not match short-run actions")
-    u_val = float(alpha.weights @ game.u @ beta.weights)
-    v_val = float(alpha.weights @ game.v @ beta.weights)
-    return u_val, v_val
-
-
-class DiscountedAverage(NamedTuple):
-    value: float
-    tail_bound: float
-
-
-def discounted_average(stream, delta: float) -> DiscountedAverage:
-    """Normalized discounted average (1-delta) sum_t delta^t x_t of a finite stream.
-
-    Also reports the truncation bound delta^(T+1) max|x_t|: the largest amount
-    an infinite continuation bounded by max|x_t| could move the value.
-    """
-    x = np.asarray(stream, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("discounted_average: stream must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("discounted_average: non-finite entry")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"discounted_average: delta must be in (0,1), got {delta!r}")
-    t = np.arange(x.size)
-    value = float((1.0 - delta) * np.sum(delta**t * x))
-    tail = float(delta ** x.size * np.abs(x).max())
-    return DiscountedAverage(value, tail)

@@ -16,13 +16,13 @@ equilibrium payoff set from above and below.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
+from .bruteforce import simplex_lattice
 from .game import Distribution, StageGame, mix_signal_dist
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
 
 BR_TIE_TOL = 1e-9      # payoff ties below this are treated as exact
 SUPPORT_CUTOFF = 1e-9  # mass below this does not count as support
+BETA_SUBGRID = 1e-2    # lattice spacing of the mixed short-run replies kappa tries
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,22 +129,8 @@ def verify_certificate(game: StageGame, alpha: Distribution, beta: Distribution,
     return worst
 
 
-def _simplex_grid(n: int, resolution: float):
-    """Lattice over the n-simplex with spacing ``resolution`` (counts / k form)."""
-    k = round(1.0 / resolution)
-    if k <= 0:
-        raise ValueError(f"grid resolution {resolution!r} coarser than the whole simplex")
-    if n == 2:
-        for i in range(k + 1):
-            yield np.array([i / k, (k - i) / k])
-        return
-    for comp in itertools.combinations_with_replacement(range(n), k):
-        counts = np.bincount(np.asarray(comp), minlength=n)
-        yield counts / k
-
-
-def _admissible_betas(game: StageGame, alpha_w: np.ndarray, eta: float,
-                      subgrid: float) -> list[tuple[np.ndarray, bool]]:
+def _admissible_betas(game: StageGame, alpha_w: np.ndarray, eta: float
+                      ) -> list[tuple[np.ndarray, bool]]:
     """Pure replies within eta of optimal, plus a coarse lattice of mixtures of them.
 
     The loss of a mixture is the mixture of pure losses, so every listed beta
@@ -159,7 +146,7 @@ def _admissible_betas(game: StageGame, alpha_w: np.ndarray, eta: float,
         w[j] = 1.0
         out.append((w, False))
     if len(keep) >= 2:
-        for mix in _simplex_grid(len(keep), subgrid):
+        for mix in simplex_lattice(len(keep), BETA_SUBGRID):
             if np.any(np.abs(mix - 1.0) < 1e-12):
                 continue  # vertices already listed as pure
             w = np.zeros(n_b)
@@ -168,30 +155,36 @@ def _admissible_betas(game: StageGame, alpha_w: np.ndarray, eta: float,
     return out
 
 
-def kappa(game: StageGame, direction: int, eta: float, grid: float, *,
-          beta_subgrid: float = 1e-2) -> float:
+def kappa(game: StageGame, direction: int, eta: float, grid: float) -> float:
     """sup of lambda z* over gridded pairs with an eta-admissible short-run reply.
 
-    Returns -inf when no admissible pair is feasible. Mixed replies enter only
-    through the coarse sub-lattice; a warning is raised if one strictly beats
-    every pure reply, since that signals the sub-grid actually matters.
+    Returns -inf when no admissible pair is feasible. The score program sees
+    alpha only through its support, so each distinct (supp(alpha), beta)
+    program on the lattice is solved once. Mixed replies enter only through
+    the coarse sub-lattice; a warning is raised if one strictly beats every
+    pure reply, since that signals the sub-grid actually matters.
     """
     if eta < 0.0:
         raise ValueError(f"kappa: eta must be >= 0, got {eta!r}")
+    programs: dict[tuple[bytes, bytes], tuple[Distribution, Distribution, bool]] = {}
+    for alpha_w in simplex_lattice(len(game.actions_long), grid):
+        alpha = Distribution(game.actions_long, alpha_w)
+        supp = (alpha.weights > SUPPORT_CUTOFF).tobytes()
+        for beta_w, is_mixed in _admissible_betas(game, alpha.weights, eta):
+            key = (supp, beta_w.tobytes())
+            if key not in programs:
+                programs[key] = (alpha, Distribution(game.actions_short, beta_w), is_mixed)
     best = -np.inf
     best_pure = -np.inf
-    for alpha_w in _simplex_grid(len(game.actions_long), grid):
-        alpha = Distribution(game.actions_long, alpha_w)
-        for beta_w, is_mixed in _admissible_betas(game, alpha.weights, eta, beta_subgrid):
-            beta = Distribution(game.actions_short, beta_w)
-            res = kstar(game, alpha, beta, direction)
-            if not res.feasible:
-                continue
-            score = direction * res.z
-            if score > best:
-                best = score
-            if not is_mixed and score > best_pure:
-                best_pure = score
+    for alpha, beta, is_mixed in programs.values():
+        res = kstar(game, alpha, beta, direction)
+        if not res.feasible:
+            continue
+        score = direction * res.z
+        if score > best:
+            best = score
+        if not is_mixed and score > best_pure:
+            best_pure = score
     if best > best_pure + 1e-9:
         warnings.warn(
             f"kappa(direction={direction}, eta={eta}): a mixed short-run reply beat every "
@@ -224,7 +217,7 @@ def stackelberg(game: StageGame, grid: float, *, pure: bool = False
     the commitment to vertices. Ties go to the first grid point reaching the sup.
     """
     n = len(game.actions_long)
-    points = (np.eye(n)[i] for i in range(n)) if pure else _simplex_grid(n, grid)
+    points = (np.eye(n)[i] for i in range(n)) if pure else simplex_lattice(n, grid)
     best = -np.inf
     best_alpha: Distribution | None = None
     for alpha_w in points:

@@ -126,7 +126,7 @@ def suite_separation() -> list[CheckResult]:
     rep_c = separation_value(fw_c, game_c.rho)
     rows.append(_row("separation", "counter_example separation vanishes",
                      rep_c.value <= 1e-8, f"{rep_c.value:.2e}", "<= 1e-8"))
-    found = find_alpha_star(fw_c, game_c.rho)
+    found = find_alpha_star(rep_c)
     x_eps = 0.55 * (1.0 + 0.05 / 0.3)
     ok = found is not None and abs(found[1].weights[0] - x_eps) <= 1e-7
     rows.append(_row("separation", "attaining action weight x_eps",

@@ -209,6 +209,16 @@ def test_decay_rate_fit_shrinks_on_underflow():
     assert fit.window == (50, 80)
 
 
+def test_decay_rate_fit_underflow_before_window():
+    # zeros from t = 30 empty the window (50, 100): fit the positive prefix's tail
+    curve = np.exp(-0.1 * np.arange(100))
+    curve[30:] = 0.0
+    with pytest.warns(RuntimeWarning, match="shrunk"):
+        fit = decay_rate_fit(curve)
+    assert fit.slope == pytest.approx(-0.1, abs=1e-9)
+    assert fit.window == (15, 30)
+
+
 def test_decay_rate_fit_validation():
     with pytest.raises(ValueError):
         decay_rate_fit(np.ones(3))

@@ -1,9 +1,16 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
+import repgame.beliefs
+import repgame.cli
+import repgame.divergence
 from repgame.cli import main
 from repgame.configio import dump_document, emit_scenario_document
+
+X_EPS = 0.55 * (1.0 + 0.05 / 0.3)  # counter_example(0.6, 0.3, 0.05, 0.55)'s alpha*
 
 
 @pytest.fixture()
@@ -22,6 +29,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture()
+def ce_config(tmp_path):
+    doc = emit_scenario_document(
+        "counter_example", {"p": 0.6, "q": 0.3, "epsilon": 0.05, "x": 0.55})
+    doc["simulation"] = {"delta": 0.9, "runs": 7, "horizon": 60, "master_seed": 20260817,
+                         "normal_strategy": [X_EPS, 1.0 - X_EPS],
+                         "alpha_star_target": [X_EPS, 1.0 - X_EPS]}
+    path = tmp_path / "ce.json"
+    dump_document(doc, path)
+    return str(path)
 
 
 def test_scenario_list(capsys):
@@ -69,16 +88,29 @@ def test_check_separation(capsys, sim_config):
     assert rep["per_model_member"] == {"m0": False}
 
 
-def test_check_separation_reports_alpha_star(capsys, tmp_path):
-    doc = emit_scenario_document(
-        "counter_example", {"p": 0.6, "q": 0.3, "epsilon": 0.05, "x": 0.55})
-    path = tmp_path / "ce.json"
-    dump_document(doc, path)
-    code, out, _ = run(capsys, "check-separation", "--config", str(path))
+def test_check_separation_reports_alpha_star(capsys, ce_config):
+    code, out, _ = run(capsys, "check-separation", "--config", ce_config)
     assert code == 0
     rep = json.loads(out)
     assert rep["separating"] is False
     assert rep["alpha_star"][0] == pytest.approx(0.55 * 7.0 / 6.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("command", [["check-separation"], ["bounds", "--grid", "0.05"]])
+def test_separation_solved_once_per_answer(capsys, monkeypatch, ce_config, command):
+    calls = []
+    real = repgame.divergence.separation_value
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (repgame.cli, repgame.divergence):
+        monkeypatch.setattr(module, "separation_value", counting)
+    code, out, _ = run(capsys, command[0], "--config", ce_config, *command[1:])
+    assert code == 0
+    assert json.loads(out)["alpha_star"][0] == pytest.approx(X_EPS, abs=1e-6)
+    assert len(calls) == 1
 
 
 def test_bounds(capsys, sim_config):
@@ -116,6 +148,37 @@ def test_simulate_writes_artifacts(capsys, sim_config, tmp_path):
     assert len(csv) == 41  # header + one row per period
 
 
+def test_simulate_csv_is_batch_row_0(capsys, monkeypatch, ce_config, tmp_path):
+    batches, solves = [], []
+    real_mc, real_sim = repgame.cli.monte_carlo, repgame.beliefs._simulate
+
+    def capture(*args, **kwargs):
+        result = real_mc(*args, **kwargs)
+        batches.append(result[1])
+        return result
+
+    def counting(*args, **kwargs):
+        solves.append(args)
+        return real_sim(*args, **kwargs)
+
+    monkeypatch.setattr(repgame.cli, "monte_carlo", capture)
+    monkeypatch.setattr(repgame.beliefs, "_simulate", counting)
+    code, _, _ = run(capsys, "simulate", "--config", ce_config, "--out", str(tmp_path))
+    assert code == 0
+    assert len(batches) == len(solves) == 1
+    batch = batches[0]
+    with open(tmp_path / "trajectory.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    cols = {name: np.array([float(r[j]) for r in rows[1:]]) for j, name in enumerate(rows[0])}
+    T = batch.horizon
+    want = {"t": np.arange(T), "action": batch.actions[0], "signal": batch.signals[0],
+            "mu": batch.mu[0, :T], "ell": batch.ell[0], "u_flow": batch.u_flow[0],
+            "tv_gap": batch.tv_gap[0], "kl_term": batch.kl_term[0]}
+    assert set(cols) == set(want)
+    for name, values in want.items():
+        assert np.array_equal(cols[name], values), name
+
+
 def test_simulate_is_reproducible(capsys, sim_config, tmp_path):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     code1, out1, _ = run(capsys, "simulate", "--config", sim_config, "--out", str(d1))
@@ -147,6 +210,29 @@ def test_commands_need_config(capsys):
     code, _, err = run(capsys, "bounds")
     assert code == 2
     assert "--config" in err
+
+
+@pytest.mark.parametrize("command, grid, bounds", [
+    ("bounds", "0", None),
+    ("bounds", "-0.1", None),
+    ("bounds", "nan", None),
+    ("bounds", "0.3", None),
+    ("stackelberg", "2", None),
+    ("bounds", None, {"grid": "abc"}),
+    ("stackelberg", None, {"grid": 0.0}),
+    ("bounds", None, {"grid": 0.05, "eta": 0.0}),
+])
+def test_bad_grid_is_a_config_error(capsys, tmp_path, command, grid, bounds):
+    doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
+    if bounds is not None:
+        doc["bounds"] = bounds
+    path = tmp_path / "cfg.json"
+    dump_document(doc, path)
+    argv = [command, "--config", str(path)] + ([] if grid is None else ["--grid", grid])
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "grid" in err
+    assert "Traceback" not in err
 
 
 def test_missing_config_file(capsys):

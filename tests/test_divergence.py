@@ -224,7 +224,7 @@ def test_separation_vanishes_for_attainable_slice(ce):
 
 def test_find_alpha_star(ce):
     game, fw = ce
-    found = find_alpha_star(fw, game.rho)
+    found = find_alpha_star(separation_value(fw, game.rho))
     assert found is not None
     model, alpha = found
     assert model == "m0"
@@ -232,7 +232,7 @@ def test_find_alpha_star(ce):
 
 
 def test_find_alpha_star_none_when_separating(game06, fw06):
-    assert find_alpha_star(fw06, game06.rho) is None
+    assert find_alpha_star(separation_value(fw06, game06.rho)) is None
 
 
 def test_dc_dn_frozen_case(nm):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from repgame.game import (Distribution, SignalStructure, StageGame,
-                          bilinear_payoffs, discounted_average,
                           mix_signal_dist)
 
 
@@ -35,11 +34,6 @@ def test_point_mass_and_uniform():
     pm = Distribution.point_mass(("x", "y", "z"), "y")
     assert pm.weights.tolist() == [0.0, 1.0, 0.0]
     assert Distribution.uniform(("x", "y"))["x"] == 0.5
-
-
-def test_support_drops_zero_mass():
-    d = Distribution(("a", "b", "c"), np.array([0.5, 0.0, 0.5]))
-    assert d.support() == ("a", "c")
 
 
 def test_distribution_weights_are_frozen():
@@ -100,33 +94,3 @@ def test_mix_signal_dist(game09):
 def test_mix_signal_dist_label_check(game09):
     with pytest.raises(ValueError):
         mix_signal_dist(game09.rho, Distribution(("b_h", "b_l"), [0.5, 0.5]))
-
-
-def test_bilinear_payoffs(game09):
-    alpha = game09.long_dist([1.0, 0.0])
-    beta = game09.short_dist([1.0, 0.0])
-    u_val, v_val = bilinear_payoffs(game09, alpha, beta)
-    assert u_val == pytest.approx(2.0)
-    assert v_val == pytest.approx(3.0)
-
-
-def test_discounted_average_constant_stream():
-    res = discounted_average(np.ones(50), 0.9)
-    assert res.value == pytest.approx(1.0 - 0.9**50, abs=1e-12)
-    assert res.tail_bound == pytest.approx(0.9**50, abs=1e-15)
-
-
-def test_discounted_average_geometric_stream():
-    # sum (1-d) d^t r^t = (1-d) / (1 - d r) in the infinite limit
-    d, r, T = 0.8, 0.5, 200
-    res = discounted_average(r ** np.arange(T), d)
-    assert res.value == pytest.approx((1 - d) / (1 - d * r), abs=1e-12)
-
-
-def test_discounted_average_validation():
-    with pytest.raises(ValueError):
-        discounted_average([], 0.9)
-    with pytest.raises(ValueError):
-        discounted_average([1.0], 1.0)
-    with pytest.raises(ValueError):
-        discounted_average([np.inf], 0.9)

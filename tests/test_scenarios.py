@@ -126,7 +126,7 @@ def test_registry_names():
 
 def test_build_scenario_defaults_and_errors():
     game, fw = build_scenario("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.1})
-    assert fw.type_marginal(1) == pytest.approx(0.5)  # default mu0
+    assert fw.prior[1].sum() == pytest.approx(0.5)  # default mu0
     with pytest.raises(KeyError, match="unknown scenario"):
         build_scenario("nope", {})
     with pytest.raises(ValueError, match="does not take"):

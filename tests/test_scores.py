@@ -10,8 +10,10 @@ z = 2 + p/(p-q) upward (direction -1). With p=0.9, q=0.4: 1.8 and 3.8.
 import numpy as np
 import pytest
 
+import repgame.scores
 from repgame.game import Distribution, StageGame, SignalStructure
-from repgame.scores import (br2, ci_payoff_set, kappa, kstar, optimality_loss,
+from repgame.scenarios import product_choice
+from repgame.scores import (SUPPORT_CUTOFF, br2, ci_payoff_set, kappa, kstar, optimality_loss,
                             reputation_lower_bound, stackelberg,
                             verify_certificate)
 
@@ -146,6 +148,23 @@ def test_ci_payoff_set(game09, game06):
     ps6 = ci_payoff_set(game06, 0.05)
     assert ps6.hi == pytest.approx(1.0, abs=1e-9)
     assert ps6.lo == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ci_payoff_set_solves_each_score_program_once(monkeypatch):
+    # kstar sees alpha only through its support: 206 distinct programs on this lattice
+    calls = []
+    real = repgame.scores.kstar
+
+    def counting(game, alpha, beta, direction):
+        calls.append(((alpha.weights > SUPPORT_CUTOFF).tobytes(), beta.weights.tobytes(),
+                      direction))
+        return real(game, alpha, beta, direction)
+
+    monkeypatch.setattr(repgame.scores, "kstar", counting)
+    game, _ = product_choice(0.9, 0.4, 0.0)
+    ps = ci_payoff_set(game, 1e-3)
+    assert len(calls) == len(set(calls)) == 206
+    assert (ps.kappa_plus, ps.kappa_minus, ps.lo, ps.hi) == (1.8, -1.0, 1.0, 1.8)
 
 
 def test_stackelberg_mixed_approaches_tie_point(game06):
