@@ -9,8 +9,13 @@ normalized through logsumexp, so posteriors stay meaningful long after
 individual hypotheses have lost hundreds of nats.
 
 The batch engine is vectorized across Monte Carlo runs. Randomness comes from
-counter-based per-run substreams (Philox keyed by ``(master_seed << 64) | run``),
-so run ``i`` of a 1000-run batch is bit-identical to run ``i`` simulated alone.
+counter-based per-run substreams (Philox keyed by ``(master_seed << 64) | run``).
+Actions and signals never depend on beliefs, so the whole (runs, T) panel of
+them is drawn first; beliefs are then computed in time blocks of about 2**16
+run-periods, log weights by a running sum over each block. Every panel column,
+``kl_term`` included, is computed per run with the same floating-point steps at
+any batch size: run ``i`` of a 1000-run batch is bit-identical to run ``i``
+simulated alone.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .divergence import kl, separation_value
 from .frameworks import TYPE_COMMIT, TYPE_NORMAL, Framework
@@ -69,7 +73,7 @@ class BeliefState:
     @property
     def posterior(self) -> np.ndarray:
         w = self.log_weights
-        return np.exp(w - logsumexp(w))
+        return np.exp(w - _logsumexp(w.reshape(1, -1))[0])
 
     @property
     def reputation(self) -> float:
@@ -260,15 +264,109 @@ def _resolve_horizon(game: StageGame, config: SimulationConfig) -> tuple[int, fl
     return T, float(scale * config.delta ** T)
 
 
+_MAX_CELLS = 64_000_000  # run-periods in one batch
+_CELLS = 1 << 16  # run-periods per time block of the belief pass
+
+
 def _uniforms(master_seed: int, run_indices: np.ndarray, horizon: int) -> np.ndarray:
-    """(runs, T, 2) uniforms, one independent Philox substream per run index."""
+    """(runs, T, 2) uniforms, one independent Philox substream per run index.
+
+    One generator is re-keyed per run; the state set is what
+    ``Philox(key=(master_seed << 64) | run)`` starts from.
+    """
     if not 0 <= master_seed < 2**63:
         raise ValueError("master_seed must lie in [0, 2**63)")
+    if (np.asarray(run_indices) < 0).any():
+        raise ValueError("run indices must be non-negative")
     out = np.empty((len(run_indices), horizon, 2))
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
     for i, run in enumerate(run_indices):
-        gen = np.random.Generator(np.random.Philox(key=(master_seed << 64) | int(run)))
+        k = (master_seed << 64) | int(run)
+        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+        state["state"]["key"] = np.array([k & (2**64 - 1), k >> 64], dtype=np.uint64)
+        state["buffer_pos"] = 4
+        bitgen.state = state
         out[i] = gen.random((horizon, 2))
     return out
+
+
+def _sum_cols(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)``, bit for bit, one column at a time.
+
+    numpy adds a row of fewer than 8 terms left to right from 0.0; longer rows
+    are summed pairwise, so those go to numpy itself.
+    """
+    if x.shape[-1] >= 8:
+        return x.sum(axis=-1)
+    out = 0.0 + x[..., 0]
+    for j in range(1, x.shape[-1]):
+        out += x[..., j]
+    return out
+
+
+def _max_cols(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)``, one column at a time."""
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(out, x[..., j], out=out)
+    return out
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """``scipy.special.logsumexp(a, axis=-1)`` of scipy 1.17, bit for bit.
+
+    Same steps: the row max, the count m of entries at it, the sum s of
+    exp(entry - max) over the other entries, then log1p(s/m) + log(m) + max.
+    Rows where that is not finite get log(sum(exp(a))), as in scipy.
+    """
+    a_max = _max_cols(a)
+    at_max = a == a_max[..., None]
+    m = _sum_cols(at_max.astype(np.float64))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.where(at_max, -np.inf, a)
+        e -= a_max[..., None]
+        s = _sum_cols(np.exp(e, out=e))
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=-1))
+    return out
+
+
+def _per_row(mat: np.ndarray, fn) -> np.ndarray:
+    """``fn(row)`` for every row of ``mat``, evaluated once per distinct row:
+    each period gets exactly the value a call on its own row gives."""
+    done: dict[bytes, np.ndarray] = {}
+    keys = [row.tobytes() for row in mat]
+    for key, row in zip(keys, mat):
+        if key not in done:
+            done[key] = fn(row)
+    return np.stack([done[key] for key in keys])
+
+
+def _draw_panel(uniforms: np.ndarray, alpha_mat: np.ndarray,
+                R_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Long-run actions and signals, (runs, T) each, from the uniforms.
+
+    An action is the number of entries of cumsum(alpha_t) at or below the
+    first uniform (``searchsorted`` on the right), a signal the same count on
+    the cumulative row of the action's signal law; both are clipped to range.
+    """
+    nA, nY = R_mat.shape
+    a_cum = np.cumsum(alpha_mat, axis=1)
+    actions = np.zeros(uniforms.shape[:2], dtype=np.int64)
+    for j in range(nA):
+        actions += uniforms[:, :, 0] >= a_cum[:, j]
+    np.minimum(actions, nA - 1, out=actions)
+    y_cum = np.cumsum(R_mat, axis=1)
+    signals = np.zeros_like(actions)
+    for j in range(nY):
+        signals += uniforms[:, :, 1] >= y_cum[actions, j]
+    np.minimum(signals, nY - 1, out=signals)
+    return actions, signals
 
 
 def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
@@ -290,7 +388,7 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
     R = len(run_indices)
     if R < 1:
         raise ValueError("need at least one run")
-    if R * T > 64_000_000:
+    if R * T > _MAX_CELLS:
         raise ValueError(f"runs*horizon = {R * T} too large; lower runs or set horizon")
 
     normal_stat, normal_mat = _schedule(config.normal_strategy, game.actions_long, T,
@@ -305,12 +403,15 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
         alpha_mat = normal_mat
 
     R_mat = game.rho.matrix
-    nA, nY = R_mat.shape
     Fhat = framework.commitment_slices
-    log_fhat = np.log(Fhat)
+    log_fhat_by_y = np.log(Fhat).T                       # (nY, nM)
     if conj_stat is not None:
-        F0_const = framework.normal_mix(conj_stat)
-        logF0_const = np.log(F0_const)
+        F0 = framework.normal_mix(conj_stat)              # (nM, nY)
+        logF0_by_y = np.log(F0).T                         # (nY, nM)
+    else:
+        F0_t = _per_row(conj_mat, lambda c: np.einsum(
+            "a,may->my", c, framework.normal_kernels))   # (T, nM, nY)
+        logF0_by_ty = np.log(F0_t).transpose(0, 2, 1)    # (T, nY, nM)
 
     p_star = None
     p_star_ent = 0.0
@@ -320,57 +421,74 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
         p_star = config.alpha_star_target.weights @ R_mat
         p_star_ent = float(p_star @ np.log(p_star))  # rho rows are strictly positive
 
+    # Actions and signals depend on the uniforms and alpha_t only, never on
+    # beliefs: draw the whole panel first.
     uniforms = _uniforms(config.master_seed, run_indices, T)
-    log_w = np.tile(np.log(framework.prior)[None, :, :], (R, 1, 1))
+    actions, signals = _draw_panel(uniforms, alpha_mat, R_mat)
+    del uniforms
+
+    def row_loss(aw):
+        row_v = aw @ game.v
+        return row_v.max() - row_v
+    loss_t = _per_row(alpha_mat, row_loss).ravel()       # (T * nB,)
+    rho_alpha_t = _per_row(alpha_mat, lambda aw: aw @ R_mat)  # (T, nY)
+    v_tilde_T = game.v_tilde.T
+    u_flat = game.u.ravel()
+    nB = game.u.shape[1]
 
     mu = np.empty((R, T + 1))
     ell = np.empty((R, T))
     u_flow = np.empty((R, T))
     tv_gap = np.empty((R, T))
     kl_term = np.empty((R, T)) if p_star is not None else None
-    actions = np.empty((R, T), dtype=np.int64)
-    signals = np.empty((R, T), dtype=np.int64)
 
-    for t in range(T):
+    # Beliefs, a block of B periods at a time. Start-of-period log weights
+    # are the running sum of the log-likelihood increments, one cumsum per
+    # block over [carried log_w, increments...]; a period's forecast, reply,
+    # loss and gaps come from its log weights alone.
+    log_w = np.tile(np.log(framework.prior)[None, :, :], (R, 1, 1))
+    B = max(1, _CELLS // R)
+    for t0 in range(0, T, B):
+        t1 = min(T, t0 + B)
+        y = signals[:, t0:t1].T                           # (b, R)
+        a = actions[:, t0:t1].T
+        lw = np.empty((t1 - t0 + 1,) + log_w.shape)
+        lw[0] = log_w
+        lw[1:, :, TYPE_COMMIT, :] = log_fhat_by_y[y]
         if conj_stat is not None:
-            F0, logF0 = F0_const, logF0_const
+            lw[1:, :, TYPE_NORMAL, :] = logF0_by_y[y]
         else:
-            F0 = np.einsum("a,may->my", conj_mat[t], framework.normal_kernels)
-            logF0 = np.log(F0)
+            lw[1:, :, TYPE_NORMAL, :] = logF0_by_ty[np.arange(t0, t1)[:, None], y]
+        np.cumsum(lw, axis=0, out=lw)
+        log_w = lw[-1].copy()
+        lw = lw[:-1]
 
-        norm = logsumexp(log_w.reshape(R, -1), axis=1)
-        post = np.exp(log_w - norm[:, None, None])
-        mu[:, t] = post[:, TYPE_COMMIT, :].sum(axis=1)
-        q = post[:, TYPE_COMMIT, :] @ Fhat + post[:, TYPE_NORMAL, :] @ F0
+        norm = _logsumexp(lw.reshape(lw.shape[:2] + (-1,)))
+        post = np.exp(np.subtract(lw, norm[:, :, None, None], out=lw), out=lw)
+        mu[:, t0:t1] = _sum_cols(post[:, :, TYPE_COMMIT, :]).T
+        # Stacked matmuls make one product per period, of the same shapes as
+        # a single period's, so each period rounds as it would alone.
+        q = post[:, :, TYPE_COMMIT, :] @ Fhat
+        q += post[:, :, TYPE_NORMAL, :] @ (F0 if conj_stat is not None else F0_t[t0:t1])
 
-        vals = q @ game.v_tilde.T
-        top = vals.max(axis=1)
-        b_idx = np.argmax(vals >= (top - BR_TIE_TOL)[:, None], axis=1)
+        vals = q @ v_tilde_T
+        thr = _max_cols(vals) - BR_TIE_TOL
+        b = np.zeros(vals.shape[:2], dtype=np.int64)  # first reply within the tie band
+        for j in range(vals.shape[2] - 1, -1, -1):
+            b = np.where(vals[:, :, j] >= thr, j, b)
 
-        aw = alpha_mat[t]
-        a_idx = np.searchsorted(np.cumsum(aw), uniforms[:, t, 0], side="right")
-        np.clip(a_idx, 0, nA - 1, out=a_idx)
-        ycum = np.cumsum(R_mat[a_idx], axis=1)
-        y_idx = (uniforms[:, t, 1][:, None] >= ycum).sum(axis=1)
-        np.clip(y_idx, 0, nY - 1, out=y_idx)
-
-        row_v = aw @ game.v
-        loss_b = row_v.max() - row_v
-        ell[:, t] = loss_b[b_idx]
-        u_flow[:, t] = game.u[a_idx, b_idx]
-        rho_alpha = aw @ R_mat
-        logq = np.log(q)
-        tv_gap[:, t] = 0.5 * np.abs(q - rho_alpha[None, :]).sum(axis=1)
+        ell[:, t0:t1] = loss_t[np.arange(t0, t1)[:, None] * nB + b].T
+        u_flow[:, t0:t1] = u_flat[a * nB + b].T
+        tv_gap[:, t0:t1] = (0.5 * _sum_cols(np.abs(q - rho_alpha_t[t0:t1, None, :]))).T
         if p_star is not None:
-            kl_term[:, t] = p_star_ent - logq @ p_star
+            logq = np.log(q)
+            cross = p_star[0] * logq[:, :, 0]
+            for j in range(1, len(p_star)):
+                cross += p_star[j] * logq[:, :, j]
+            kl_term[:, t0:t1] = (p_star_ent - cross).T
 
-        log_w[:, TYPE_COMMIT, :] += log_fhat[:, y_idx].T
-        log_w[:, TYPE_NORMAL, :] += logF0[:, y_idx].T
-        actions[:, t] = a_idx
-        signals[:, t] = y_idx
-
-    norm = logsumexp(log_w.reshape(R, -1), axis=1)
-    mu[:, T] = np.exp(log_w - norm[:, None, None])[:, TYPE_COMMIT, :].sum(axis=1)
+    norm = _logsumexp(log_w.reshape(R, -1))
+    mu[:, T] = _sum_cols(np.exp(log_w - norm[:, None, None])[:, TYPE_COMMIT, :])
 
     return BatchResult(
         mu=mu, ell=ell, u_flow=u_flow, tv_gap=tv_gap, kl_term=kl_term,
@@ -385,6 +503,8 @@ def simulate_batch(game: StageGame, framework: Framework,
                    config: SimulationConfig) -> BatchResult:
     if config.runs < 1:
         raise ValueError("config.runs must be >= 1")
+    if config.runs > _MAX_CELLS:
+        raise ValueError(f"runs = {config.runs} too large; runs*horizon is capped at {_MAX_CELLS}")
     return _simulate(game, framework, config, np.arange(config.runs))
 
 

@@ -94,6 +94,10 @@ def framework_to_dict(fw: Framework) -> dict:
 
 def framework_from_dict(d: dict, actions: tuple[str, ...],
                         signals: tuple[str, ...]) -> Framework:
+    correct = d.get("normal_correctly_specified", True)
+    if not isinstance(correct, bool):
+        raise ConfigError(
+            f"framework: normal_correctly_specified must be true or false, got {correct!r}")
     try:
         kernels = np.asarray(_require(d, "kernels", "framework"), dtype=float)
         if kernels.ndim != 4 or kernels.shape[1] != 2:
@@ -110,8 +114,7 @@ def framework_from_dict(d: dict, actions: tuple[str, ...],
             commitment_action=Distribution(
                 actions,
                 np.asarray(_require(d, "commitment_action", "framework"), dtype=float)),
-            normal_correctly_specified=bool(
-                d.get("normal_correctly_specified", True)),
+            normal_correctly_specified=correct,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"framework: {exc}") from exc
@@ -156,26 +159,42 @@ def simulation_to_dict(cfg: SimulationConfig) -> dict:
     return out
 
 
+def _sim_number(d: dict, key: str, default=None, *, integer: bool = False,
+                nullable: bool = False):
+    """A number from the simulation block; JSON booleans and strings are not
+    numbers, and an integer field takes no fractional part."""
+    value = d.get(key, default)
+    if nullable and value is None:
+        return None
+    kind = "an integer" if integer else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            integer and isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"simulation.{key}: expected {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def simulation_from_dict(d: dict, actions: tuple[str, ...]) -> SimulationConfig:
-    try:
-        delta = float(_require(d, "delta", "simulation"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"simulation: {exc}") from exc
-    seed = d.get("master_seed")
+    if not isinstance(d, dict):
+        raise ConfigError("'simulation' must be an object")
+    _require(d, "delta", "simulation")
     target = d.get("alpha_star_target")
+    if target is not None:
+        try:
+            target = Distribution(actions, np.asarray(target, dtype=float))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"simulation.alpha_star_target: {exc}") from exc
     return SimulationConfig(
-        delta=delta,
-        master_seed=None if seed is None else int(seed),
-        runs=int(d.get("runs", 100)),
+        delta=_sim_number(d, "delta"),
+        master_seed=_sim_number(d, "master_seed", integer=True, nullable=True),
+        runs=_sim_number(d, "runs", 100, integer=True),
         true_type=str(d.get("true_type", "normal")),
         normal_strategy=_strategy_from_json(d.get("normal_strategy"), actions,
                                             "normal_strategy"),
         slp_conjecture=_strategy_from_json(d.get("slp_conjecture"), actions,
                                            "slp_conjecture"),
-        horizon=None if d.get("horizon") is None else int(d["horizon"]),
-        truncation_tol=float(d.get("truncation_tol", 1e-4)),
-        alpha_star_target=None if target is None else Distribution(
-            actions, np.asarray(target, dtype=float)),
+        horizon=_sim_number(d, "horizon", integer=True, nullable=True),
+        truncation_tol=_sim_number(d, "truncation_tol", 1e-4),
+        alpha_star_target=target,
     )
 
 

@@ -11,17 +11,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
+import repgame.beliefs
 from repgame.beliefs import (BeliefState, SimulationConfig, TrajectoryRecord,
+                             _logsumexp, _resolve_horizon, _schedule, _uniforms,
                              azuma_diagnostic, bayes_step,
                              certificate_kl_ceiling, decay_rate_fit,
                              discounted_kl_certificate, monte_carlo,
                              predictive, simulate_batch, simulate_run,
                              slp_action)
 from repgame.divergence import tv
+from repgame.frameworks import TYPE_COMMIT, TYPE_NORMAL, Framework
 from repgame.game import Distribution, mix_signal_dist
-from repgame.scenarios import counter_example, product_choice
-from repgame.scores import optimality_loss
+from repgame.scenarios import (counter_example, perturbation_sequence, product_choice,
+                               three_signal)
+from repgame.scores import BR_TIE_TOL, optimality_loss
 
 
 def a_dist(game, w):
@@ -330,3 +335,233 @@ def test_azuma_rejects_commitment_paths():
     batch = simulate_batch(game, fw, cfg)
     with pytest.raises(ValueError, match="normal type"):
         azuma_diagnostic(batch, game, fw, zeta=0.04)
+
+
+# -- the blocked simulator against the per-period reference loop --------------
+#
+# _reference_simulate is the simulator in its per-period form: one Python
+# iteration per period, scipy's logsumexp, one Philox generator built per run.
+# The blocked simulator must reproduce every panel column bit for bit, and
+# kl_term within 1e-15 (the blocked simulator sums it in signal order, the
+# reference by a BLAS matrix-vector product).
+
+def _reference_uniforms(master_seed, run_indices, horizon):
+    out = np.empty((len(run_indices), horizon, 2))
+    for i, run in enumerate(run_indices):
+        gen = np.random.Generator(np.random.Philox(key=(master_seed << 64) | int(run)))
+        out[i] = gen.random((horizon, 2))
+    return out
+
+
+def _reference_simulate(game, framework, config, run_indices):
+    T, truncation = _resolve_horizon(game, config)
+    R = len(run_indices)
+
+    normal_stat, normal_mat = _schedule(config.normal_strategy, game.actions_long, T,
+                                        "normal_strategy")
+    conj_spec = config.slp_conjecture if config.slp_conjecture is not None \
+        else config.normal_strategy
+    conj_stat, conj_mat = _schedule(conj_spec, game.actions_long, T, "slp_conjecture")
+
+    if config.true_type == "commitment":
+        alpha_mat = np.tile(framework.commitment_action.weights, (T, 1))
+    else:
+        alpha_mat = normal_mat
+
+    R_mat = game.rho.matrix
+    nA, nY = R_mat.shape
+    Fhat = framework.commitment_slices
+    log_fhat = np.log(Fhat)
+    if conj_stat is not None:
+        F0_const = framework.normal_mix(conj_stat)
+        logF0_const = np.log(F0_const)
+
+    p_star = None
+    p_star_ent = 0.0
+    if config.alpha_star_target is not None:
+        p_star = config.alpha_star_target.weights @ R_mat
+        p_star_ent = float(p_star @ np.log(p_star))
+
+    uniforms = _reference_uniforms(config.master_seed, run_indices, T)
+    log_w = np.tile(np.log(framework.prior)[None, :, :], (R, 1, 1))
+
+    mu = np.empty((R, T + 1))
+    ell = np.empty((R, T))
+    u_flow = np.empty((R, T))
+    tv_gap = np.empty((R, T))
+    kl_term = np.empty((R, T)) if p_star is not None else None
+    actions = np.empty((R, T), dtype=np.int64)
+    signals = np.empty((R, T), dtype=np.int64)
+
+    for t in range(T):
+        if conj_stat is not None:
+            F0, logF0 = F0_const, logF0_const
+        else:
+            F0 = np.einsum("a,may->my", conj_mat[t], framework.normal_kernels)
+            logF0 = np.log(F0)
+
+        norm = logsumexp(log_w.reshape(R, -1), axis=1)
+        post = np.exp(log_w - norm[:, None, None])
+        mu[:, t] = post[:, TYPE_COMMIT, :].sum(axis=1)
+        q = post[:, TYPE_COMMIT, :] @ Fhat + post[:, TYPE_NORMAL, :] @ F0
+
+        vals = q @ game.v_tilde.T
+        top = vals.max(axis=1)
+        b_idx = np.argmax(vals >= (top - BR_TIE_TOL)[:, None], axis=1)
+
+        aw = alpha_mat[t]
+        a_idx = np.searchsorted(np.cumsum(aw), uniforms[:, t, 0], side="right")
+        np.clip(a_idx, 0, nA - 1, out=a_idx)
+        ycum = np.cumsum(R_mat[a_idx], axis=1)
+        y_idx = (uniforms[:, t, 1][:, None] >= ycum).sum(axis=1)
+        np.clip(y_idx, 0, nY - 1, out=y_idx)
+
+        row_v = aw @ game.v
+        loss_b = row_v.max() - row_v
+        ell[:, t] = loss_b[b_idx]
+        u_flow[:, t] = game.u[a_idx, b_idx]
+        rho_alpha = aw @ R_mat
+        logq = np.log(q)
+        tv_gap[:, t] = 0.5 * np.abs(q - rho_alpha[None, :]).sum(axis=1)
+        if p_star is not None:
+            kl_term[:, t] = p_star_ent - logq @ p_star
+
+        log_w[:, TYPE_COMMIT, :] += log_fhat[:, y_idx].T
+        log_w[:, TYPE_NORMAL, :] += logF0[:, y_idx].T
+        actions[:, t] = a_idx
+        signals[:, t] = y_idx
+
+    norm = logsumexp(log_w.reshape(R, -1), axis=1)
+    mu[:, T] = np.exp(log_w - norm[:, None, None])[:, TYPE_COMMIT, :].sum(axis=1)
+    return dict(mu=mu, ell=ell, u_flow=u_flow, tv_gap=tv_gap, kl_term=kl_term,
+                actions=actions, signals=signals)
+
+
+def _pc_case(strategy, conjecture=None, true_type="normal", member=None):
+    """product_choice(0.6, 0.3, 0.15), or its perturbation member n=3 (two
+    models), played with weights on a_h given per period by ``strategy``."""
+    def build(horizon):
+        game, fw = product_choice(0.6, 0.3, 0.15)
+        if member is not None:
+            fw = perturbation_sequence(game, fw, member)[-1]
+
+        def play(spec):
+            if spec is None or np.isscalar(spec):
+                return None if spec is None else a_dist(game, [spec, 1.0 - spec])
+            return [a_dist(game, [w, 1.0 - w]) for w in np.resize(spec, horizon)]
+        return game, fw, dict(normal_strategy=play(strategy), slp_conjecture=play(conjecture),
+                              true_type=true_type)
+    return build
+
+
+def _four_models_case(horizon):
+    """Four models (eight hypotheses: numpy sums those rows pairwise) over
+    three_signal's game, with random full-support kernels and prior."""
+    game, _ = three_signal(0.6, 0.3, 0.1, 0.02, 0.7)
+    rng = np.random.default_rng(11)
+    kernels = rng.dirichlet(np.ones(3), size=(2, 4, 2))
+    fw = Framework(models=("m0", "m1", "m2", "m3"), actions=game.actions_long,
+                   signals=game.signals, normal_kernels=kernels[0],
+                   commitment_kernels=kernels[1], prior=rng.dirichlet(np.ones(8)).reshape(2, 4),
+                   commitment_action=a_dist(game, [0.7, 0.3]))
+    script = [a_dist(game, [w, 1.0 - w]) for w in np.resize(SCRIPT, horizon)]
+    return game, fw, dict(normal_strategy=script, alpha_star_target=a_dist(game, [0.7, 0.3]))
+
+
+def _survival_case(horizon):
+    game, fw = counter_example(0.6, 0.3, 0.05, 0.55)
+    x_eps = 0.55 * (1.0 + 0.05 / 0.3)
+    alpha_star = a_dist(game, [x_eps, 1.0 - x_eps])
+    return game, fw, dict(normal_strategy=alpha_star, alpha_star_target=alpha_star)
+
+
+SCRIPT = [0.9, 0.9, 0.1, 0.5, 0.5, 0.5, 0.0, 1.0]
+ORACLE_CASES = {
+    "stationary": _pc_case(0.3),
+    "scripted": _pc_case(SCRIPT),
+    "conjecture": _pc_case(0.0, conjecture=SCRIPT),
+    "commitment": _pc_case(0.0, true_type="commitment"),
+    "two-models": _pc_case(0.0, member=3),
+    "two-models-scripted": _pc_case(SCRIPT, conjecture=[0.2, 0.7, 0.7], member=3),
+    "survival": _survival_case,
+    "four-models": _four_models_case,
+}
+
+
+# (case, runs, horizon, block budget or None for the default); horizons are
+# not multiples of the block, so the last block is a partial one
+@pytest.mark.parametrize("case, runs, horizon, cells", [
+    ("stationary", 200, 700, None),
+    ("stationary", 5000, 40, None),
+    ("scripted", 3, 50, 100),
+    ("scripted", 200, 700, None),
+    ("conjecture", 1, 250, 100),
+    ("conjecture", 200, 333, None),
+    ("commitment", 5000, 40, None),
+    ("commitment", 3, 61, 10),
+    ("two-models", 1, 250, 100),
+    ("two-models", 3, 50, None),
+    ("two-models", 200, 700, None),
+    ("two-models-scripted", 200, 333, None),
+    ("two-models-scripted", 5000, 40, None),
+    ("survival", 1, 400, 128),
+    ("survival", 200, 700, None),
+    ("four-models", 1, 300, 128),
+    ("four-models", 200, 700, None),
+])
+def test_blocked_simulator_matches_per_period_loop(monkeypatch, case, runs, horizon, cells):
+    if cells is not None:
+        monkeypatch.setattr(repgame.beliefs, "_CELLS", cells)
+    game, fw, kw = ORACLE_CASES[case](horizon)
+    cfg = SimulationConfig(delta=0.95, master_seed=20261018, runs=runs, horizon=horizon, **kw)
+    batch = simulate_batch(game, fw, cfg)
+    ref = _reference_simulate(game, fw, cfg, np.arange(runs))
+    for field in ("mu", "ell", "u_flow", "tv_gap", "actions", "signals"):
+        assert np.array_equal(getattr(batch, field), ref[field]), field
+    if ref["kl_term"] is None:
+        assert batch.kl_term is None
+    else:
+        assert np.abs(batch.kl_term - ref["kl_term"]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("runs", [1, 2, 7, 64, 500])
+def test_survival_run_is_batch_row_at_any_batch_size(runs):
+    game, fw, kw = _survival_case(400)
+    cfg = SimulationConfig(delta=0.995, master_seed=20260817, runs=runs, horizon=400, **kw)
+    batch = simulate_batch(game, fw, cfg)
+    for k in sorted({0, runs // 2, runs - 1}):
+        rec = simulate_run(game, fw, cfg, run_index=k)
+        for field in ("mu", "ell", "u_flow", "tv_gap", "kl_term", "actions", "signals"):
+            assert np.array_equal(getattr(rec, field), getattr(batch, field)[k]), field
+
+
+def test_uniforms_match_one_philox_per_run():
+    seed = 2**63 - 1
+    runs = np.array([0, 1, 2**40 + 3, 2**63 - 1])
+    assert np.array_equal(_uniforms(seed, runs, 5), _reference_uniforms(seed, runs, 5))
+    with pytest.raises(ValueError, match="non-negative"):
+        _uniforms(seed, np.array([3, -1]), 5)
+
+
+def test_logsumexp_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for k in range(1, 9):
+        a = rng.normal(0.0, 30.0, (3000, k))
+        ties = rng.random((3000, k)) < 0.3
+        a[ties] = a[:, :1].repeat(k, axis=1)[ties]   # ties with column 0
+        a[rng.random((3000, k)) < 0.15] = -np.inf
+        a[:5] = -np.inf                              # rows with no finite entry
+        if k > 1:
+            a[5:10, 1] = np.inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = logsumexp(a, axis=-1)
+        assert np.array_equal(_logsumexp(a), want, equal_nan=True), k
+
+
+def test_posterior_normalizes_like_scipy():
+    rng = np.random.default_rng(5)
+    for n_models in range(1, 5):
+        for _ in range(200):
+            w = rng.normal(0.0, 20.0, (2, n_models))
+            want = np.exp(w - logsumexp(w))
+            assert np.array_equal(BeliefState(w).posterior, want)

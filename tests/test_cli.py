@@ -235,6 +235,36 @@ def test_bad_grid_is_a_config_error(capsys, tmp_path, command, grid, bounds):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("simulation", "runs", "abc"),
+    ("simulation", "runs", 2.7),
+    ("simulation", "runs", True),
+    ("simulation", "runs", None),
+    ("simulation", "runs", 10**12),
+    ("simulation", "horizon", "x"),
+    ("simulation", "horizon", 40.5),
+    ("simulation", "master_seed", "11"),
+    ("simulation", "master_seed", False),
+    ("simulation", "delta", "0.9"),
+    ("simulation", "truncation_tol", [1e-4]),
+    ("simulation", "alpha_star_target", [0.5]),
+    ("simulation", "alpha_star_target", ["a", "b"]),
+    ("framework", "normal_correctly_specified", "false"),
+    ("framework", "normal_correctly_specified", 0),
+])
+def test_bad_simulation_value_is_a_config_error(capsys, tmp_path, block, key, value):
+    doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
+    doc["simulation"] = {"delta": 0.9, "runs": 4, "horizon": 40, "master_seed": 11,
+                         "normal_strategy": [0.0, 1.0]}
+    doc[block][key] = value
+    path = tmp_path / "cfg.json"
+    dump_document(doc, path)
+    code, _, err = run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert key in err
+    assert "Traceback" not in err
+
+
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "bounds", "--config", "/nonexistent/cfg.json")
     assert code == 2
