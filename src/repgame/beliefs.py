@@ -443,9 +443,10 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
     kl_term = np.empty((R, T)) if p_star is not None else None
 
     # Beliefs, a block of B periods at a time. Start-of-period log weights
-    # are the running sum of the log-likelihood increments, one cumsum per
-    # block over [carried log_w, increments...]; a period's forecast, reply,
-    # loss and gaps come from its log weights alone.
+    # are the running sum of the log-likelihood increments, added row by row
+    # over [carried log_w, increments...] (the additions of a cumsum, without
+    # its slow inner loop along the short time axis); a period's forecast,
+    # reply, loss and gaps come from its log weights alone.
     log_w = np.tile(np.log(framework.prior)[None, :, :], (R, 1, 1))
     B = max(1, _CELLS // R)
     for t0 in range(0, T, B):
@@ -459,7 +460,8 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
             lw[1:, :, TYPE_NORMAL, :] = logF0_by_y[y]
         else:
             lw[1:, :, TYPE_NORMAL, :] = logF0_by_ty[np.arange(t0, t1)[:, None], y]
-        np.cumsum(lw, axis=0, out=lw)
+        for i in range(1, len(lw)):
+            np.add(lw[i - 1], lw[i], out=lw[i])
         log_w = lw[-1].copy()
         lw = lw[:-1]
 

@@ -12,6 +12,14 @@ x(y) = w(y) - z that all sit on one side of zero (lambda x(y) <= 0):
 Supremum of lambda z over pairs where beta is within eta of a best reply gives
 kappa_eta(lambda); at eta = 0 the two directions clamp the complete-information
 equilibrium payoff set from above and below.
+
+The score program sees alpha only through supp(alpha). ``kappa`` collects the
+distinct (supp(alpha), beta) programs of its lattice and solves them in one
+``linprog`` call: they share no variable, so they stack as the diagonal blocks
+of one LP whose optimum is every block's optimum. If the joint LP has no
+optimum, the blocks are split in halves and solved again until each failing
+program stands alone, where infeasibility is an answer and any other failure
+raises. ``kstar`` is the same solve with one block.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import block_diag
 
 from .bruteforce import simplex_lattice
 from .game import Distribution, StageGame, mix_signal_dist
@@ -87,29 +96,52 @@ def kstar(game: StageGame, alpha: Distribution, beta: Distribution, direction: i
         raise ValueError(f"kstar: direction must be +1 or -1, got {direction!r}")
     if alpha.labels != game.actions_long or beta.labels != game.actions_short:
         raise ValueError("kstar: action labels do not match the game")
+    return _solve_scores(game, [(alpha.weights > SUPPORT_CUTOFF, beta.weights)], direction)[0]
+
+
+def _solve_scores(game: StageGame, programs: list[tuple[np.ndarray, np.ndarray]],
+                  direction: int) -> list[ScoreResult]:
+    """Solve score programs, given as (support mask, beta weights), in one LP.
+
+    The programs share no variable, so they are the diagonal blocks of one
+    program whose optimum is every block's optimum. When the joint program
+    has no optimum, the list is split in halves until each failing program
+    stands alone: alone, infeasibility is an answer and any other failure
+    raises.
+    """
     R = game.rho.matrix
-    n_a, n_y = R.shape
-    u_beta = game.u @ beta.weights
-    supp = alpha.weights > SUPPORT_CUTOFF
-    # variables: [z, x(y_1) ... x(y_n)]
-    A_eq = np.hstack([np.ones((int(supp.sum()), 1)), -R[supp]])
-    b_eq = u_beta[supp]
-    off = ~supp
-    A_ub = np.hstack([-np.ones((int(off.sum()), 1)), R[off]])
-    b_ub = -u_beta[off]
-    x_bound = (None, 0.0) if direction == +1 else (0.0, None)
-    bounds = [(None, None)] + [x_bound] * n_y
+    n_y = R.shape[1]
+    eq_blocks, ub_blocks, b_eq, b_ub = [], [], [], []
+    for supp, beta_w in programs:
+        u_beta = game.u @ beta_w
+        off = ~supp
+        # variables of each block: [z, x(y_1) ... x(y_n)]
+        eq_blocks.append(np.hstack([np.ones((int(supp.sum()), 1)), -R[supp]]))
+        b_eq.append(u_beta[supp])
+        ub_blocks.append(np.hstack([-np.ones((int(off.sum()), 1)), R[off]]))
+        b_ub.append(-u_beta[off])
+    has_ub = sum(len(b) for b in b_ub) > 0
+    block_bounds = np.array([(-np.inf, np.inf)]
+                            + [(-np.inf, 0.0) if direction == +1 else (0.0, np.inf)] * n_y)
     c = np.zeros(1 + n_y)
     c[0] = -float(direction)
-    res = linprog(c, A_ub=A_ub if off.any() else None, b_ub=b_ub if off.any() else None,
-                  A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    res = linprog(np.tile(c, len(programs)),
+                  A_ub=block_diag(ub_blocks, format="csc") if has_ub else None,
+                  b_ub=np.concatenate(b_ub) if has_ub else None,
+                  A_eq=block_diag(eq_blocks, format="csc"), b_eq=np.concatenate(b_eq),
+                  bounds=np.tile(block_bounds, (len(programs), 1)), method="highs")
+    if res.status == 0:
+        return [ScoreResult(True, float(x[0]), x[1:].copy(), direction)
+                for x in res.x.reshape(len(programs), 1 + n_y)]
+    if len(programs) > 1:
+        half = len(programs) // 2
+        return (_solve_scores(game, programs[:half], direction)
+                + _solve_scores(game, programs[half:], direction))
     if res.status == 2:
-        return ScoreResult(False, None, None, direction)
+        return [ScoreResult(False, None, None, direction)]
     if res.status == 3:
         raise RuntimeError("score program unbounded; enforceability should cap it")
-    if res.status != 0:
-        raise RuntimeError(f"score program solver failure: {res.message}")
-    return ScoreResult(True, float(res.x[0]), res.x[1:].copy(), direction)
+    raise RuntimeError(f"score program solver failure: {res.message}")
 
 
 def verify_certificate(game: StageGame, alpha: Distribution, beta: Distribution,
@@ -135,6 +167,7 @@ def _admissible_betas(game: StageGame, alpha_w: np.ndarray, eta: float
 
     The loss of a mixture is the mixture of pure losses, so every listed beta
     is eta-admissible by construction. Bool flags mark properly mixed entries.
+    Mixtures are normalized as ``Distribution`` normalizes them.
     """
     row = alpha_w @ game.v
     losses = row.max() - row
@@ -151,6 +184,7 @@ def _admissible_betas(game: StageGame, alpha_w: np.ndarray, eta: float
                 continue  # vertices already listed as pure
             w = np.zeros(n_b)
             w[keep] = mix
+            w /= float(w.sum())
             out.append((w, True))
     return out
 
@@ -159,25 +193,30 @@ def kappa(game: StageGame, direction: int, eta: float, grid: float) -> float:
     """sup of lambda z* over gridded pairs with an eta-admissible short-run reply.
 
     Returns -inf when no admissible pair is feasible. The score program sees
-    alpha only through its support, so each distinct (supp(alpha), beta)
-    program on the lattice is solved once. Mixed replies enter only through
-    the coarse sub-lattice; a warning is raised if one strictly beats every
-    pure reply, since that signals the sub-grid actually matters.
+    alpha only through its support, so the distinct (supp(alpha), beta)
+    programs of the lattice are collected first and solved together in one
+    LP. Mixed replies enter only through the coarse sub-lattice; a warning is
+    raised if one strictly beats every pure reply, since that signals the
+    sub-grid actually matters.
     """
+    if direction not in (+1, -1):
+        raise ValueError(f"kappa: direction must be +1 or -1, got {direction!r}")
     if eta < 0.0:
         raise ValueError(f"kappa: eta must be >= 0, got {eta!r}")
-    programs: dict[tuple[bytes, bytes], tuple[Distribution, Distribution, bool]] = {}
+    programs: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray, bool]] = {}
     for alpha_w in simplex_lattice(len(game.actions_long), grid):
-        alpha = Distribution(game.actions_long, alpha_w)
-        supp = (alpha.weights > SUPPORT_CUTOFF).tobytes()
-        for beta_w, is_mixed in _admissible_betas(game, alpha.weights, eta):
-            key = (supp, beta_w.tobytes())
+        alpha_w /= float(alpha_w.sum())  # as Distribution normalizes it
+        supp = alpha_w > SUPPORT_CUTOFF
+        supp_key = supp.tobytes()
+        for beta_w, is_mixed in _admissible_betas(game, alpha_w, eta):
+            key = (supp_key, beta_w.tobytes())
             if key not in programs:
-                programs[key] = (alpha, Distribution(game.actions_short, beta_w), is_mixed)
+                programs[key] = (supp, beta_w, is_mixed)
+    results = _solve_scores(game, [(supp, beta_w) for supp, beta_w, _ in programs.values()],
+                            direction)
     best = -np.inf
     best_pure = -np.inf
-    for alpha, beta, is_mixed in programs.values():
-        res = kstar(game, alpha, beta, direction)
+    for (_, _, is_mixed), res in zip(programs.values(), results):
         if not res.feasible:
             continue
         score = direction * res.z
@@ -199,13 +238,20 @@ def ci_payoff_set(game: StageGame, grid: float) -> PayoffSetResult:
     """Interval clamping the long-run player's equilibrium payoffs under known types.
 
     hi caps payoffs using the downward half-space score, lo symmetric; both are
-    intersected with the raw payoff range.
+    intersected with the raw payoff range. A warning is raised when lo > hi.
     """
     k_plus = kappa(game, +1, 0.0, grid)
     k_minus = kappa(game, -1, 0.0, grid)
     u_min, u_max = game.u_range
     lo = max(u_min, -k_minus)
     hi = min(u_max, k_plus)
+    if lo > hi:
+        warnings.warn(
+            f"ci_payoff_set(grid={grid}): empty bracket, lo {lo:.6g} > hi {hi:.6g}; "
+            f"the grid finds no payoff both scores allow",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return PayoffSetResult(k_plus, k_minus, lo, hi, 1.0 / round(1.0 / grid))
 
 

@@ -7,15 +7,17 @@ the allowed orthant gives z = 2 - (1-p)/(p-q) downward (direction +1) and
 z = 2 + p/(p-q) upward (direction -1). With p=0.9, q=0.4: 1.8 and 3.8.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import repgame.scores
 from repgame.game import Distribution, StageGame, SignalStructure
-from repgame.scenarios import product_choice
-from repgame.scores import (SUPPORT_CUTOFF, br2, ci_payoff_set, kappa, kstar, optimality_loss,
-                            reputation_lower_bound, stackelberg,
-                            verify_certificate)
+from repgame.scenarios import product_choice, three_signal
+from repgame.scores import (br2, ci_payoff_set, kappa, kstar, optimality_loss,
+                            reputation_lower_bound, stackelberg, verify_certificate)
 
 
 def dist(labels, w):
@@ -131,6 +133,11 @@ def test_kappa_rejects_negative_eta(game09):
         kappa(game09, +1, -0.1, 0.1)
 
 
+def test_kappa_direction_validation(game09):
+    with pytest.raises(ValueError, match="direction"):
+        kappa(game09, 0, 0.0, 0.1)
+
+
 def test_kappa_monotone_in_eta(game09):
     # widening the admissible-reply set can only raise a supremum
     k0 = kappa(game09, +1, 0.0, 0.1)
@@ -150,21 +157,137 @@ def test_ci_payoff_set(game09, game06):
     assert ps6.lo == pytest.approx(1.0, abs=1e-9)
 
 
-def test_ci_payoff_set_solves_each_score_program_once(monkeypatch):
-    # kstar sees alpha only through its support: 206 distinct programs on this lattice
+def _record_batches(monkeypatch):
+    """Record every (programs, direction, results) batch kappa solves, not its halves."""
+    batches = []
+    depth = []
+    real = repgame.scores._solve_scores
+
+    def recording(game, programs, direction):
+        depth.append(1)
+        results = real(game, programs, direction)
+        depth.pop()
+        if not depth:
+            batches.append((programs, direction, results))
+        return results
+
+    monkeypatch.setattr(repgame.scores, "_solve_scores", recording)
+    return batches
+
+
+def _count_linprog(monkeypatch):
     calls = []
-    real = repgame.scores.kstar
+    real = repgame.scores.linprog
 
-    def counting(game, alpha, beta, direction):
-        calls.append(((alpha.weights > SUPPORT_CUTOFF).tobytes(), beta.weights.tobytes(),
-                      direction))
-        return real(game, alpha, beta, direction)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(repgame.scores, "kstar", counting)
+    monkeypatch.setattr(repgame.scores, "linprog", counting)
+    return calls
+
+
+def test_ci_payoff_set_solves_each_score_program_once(monkeypatch):
+    # the score program sees alpha only through its support: 206 distinct
+    # programs on this lattice, all feasible, solved in one LP per direction
+    batches = _record_batches(monkeypatch)
+    lp_calls = _count_linprog(monkeypatch)
     game, _ = product_choice(0.9, 0.4, 0.0)
     ps = ci_payoff_set(game, 1e-3)
-    assert len(calls) == len(set(calls)) == 206
+    keys = [(supp.tobytes(), beta_w.tobytes(), direction)
+            for programs, direction, _ in batches for supp, beta_w in programs]
+    assert len(keys) == len(set(keys)) == 206
+    assert sorted(direction for _, direction, _ in batches) == [-1, +1]
+    assert len(lp_calls) == 2
     assert (ps.kappa_plus, ps.kappa_minus, ps.lo, ps.hi) == (1.8, -1.0, 1.0, 1.8)
+
+
+def _dense_score(game, supp, beta_w, direction):
+    """The score program as one dense linprog call per program (test-only reference)."""
+    R = game.rho.matrix
+    n_y = R.shape[1]
+    u_beta = game.u @ beta_w
+    off = ~supp
+    A_eq = np.hstack([np.ones((int(supp.sum()), 1)), -R[supp]])
+    A_ub = np.hstack([-np.ones((int(off.sum()), 1)), R[off]])
+    x_bound = (None, 0.0) if direction == +1 else (0.0, None)
+    c = np.zeros(1 + n_y)
+    c[0] = -float(direction)
+    return linprog(c, A_ub=A_ub if off.any() else None, b_ub=-u_beta[off] if off.any() else None,
+                   A_eq=A_eq, b_eq=u_beta[supp], bounds=[(None, None)] + [x_bound] * n_y,
+                   method="highs")
+
+
+def _infeasible_game():
+    # see test_kstar_detects_infeasibility: the top action alone cannot be enforced
+    rho = SignalStructure(("top", "mid", "low"), ("y0", "y1"),
+                          np.array([[0.5, 0.5], [0.8, 0.2], [0.2, 0.8]]))
+    return StageGame(("top", "mid", "low"), ("b",), ("y0", "y1"),
+                     np.array([[0.0], [1.0], [1.0]]), np.zeros((1, 2)), rho)
+
+
+def _mixed_feasibility_game():
+    # 317 programs a direction at grid 0.1, 15 of them infeasible, most with mixed replies
+    acts, sig = ("a0", "a1", "a2"), ("y0", "y1")
+    rho = SignalStructure(acts, sig, np.array([[0.49, 0.51], [0.62, 0.38], [0.25, 0.75]]))
+    return StageGame(acts, ("b0", "b1"), sig, np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 2.0]]),
+                     np.array([[0.0, 3.0], [3.0, 2.0]]), rho)
+
+
+@pytest.mark.parametrize("make, grid, infeasible", [
+    (lambda: product_choice(0.9, 0.4, 0.0)[0], 1e-2, "none"),
+    (lambda: three_signal(0.6, 0.3, 0.1, 0.02, 0.55)[0], 1e-2, "none"),
+    (_infeasible_game, 0.1, "some"),
+    (_mixed_feasibility_game, 0.1, "some"),
+], ids=["product_choice", "three_signal", "infeasible", "mixed_feasibility"])
+def test_score_batch_matches_solo_solves(monkeypatch, make, grid, infeasible):
+    game = make()
+    batches = _record_batches(monkeypatch)
+    lp_calls = _count_linprog(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # mixed-reply and empty-bracket notes
+        ci_payoff_set(game, grid)
+    assert len(batches) == 2
+    n_infeasible = 0
+    for programs, direction, results in batches:
+        assert len(results) == len(programs)
+        for (supp, beta_w), res in zip(programs, results):
+            ref = _dense_score(game, supp, beta_w, direction)
+            assert ref.status in (0, 2)
+            assert res.feasible == (ref.status == 0)
+            if res.feasible:
+                assert res.z == ref.x[0]
+                assert np.allclose(res.offsets, ref.x[1:], rtol=0.0, atol=1e-9)
+            n_infeasible += not res.feasible
+    if infeasible == "none":
+        assert n_infeasible == 0 and len(lp_calls) == 2
+    else:
+        # infeasible programs stand alone after halving; feasible ones are solved too
+        n_programs = sum(len(programs) for programs, _, _ in batches)
+        assert 0 < n_infeasible < n_programs
+        assert len(lp_calls) > 2
+
+
+def test_ci_payoff_set_warns_on_empty_bracket():
+    # a three-action game without a pure stage equilibrium: at grid 0.1 the
+    # upward score puts lo at 4.317, above the downward cap hi = 2.833
+    acts, sig = ("a0", "a1", "a2"), ("y0", "y1", "y2")
+    rho = SignalStructure(acts, sig, np.array([[0.2, 0.24, 0.56], [0.65, 0.1, 0.25],
+                                               [0.83, 0.09, 0.08]]))
+    game = StageGame(acts, ("b0", "b1", "b2"), sig,
+                     np.array([[0.0, 4.0, 4.0], [3.0, 0.0, 3.0], [3.0, 3.0, 3.0]]),
+                     np.array([[2.0, 1.0, 4.0], [4.0, 3.0, 1.0], [2.0, 2.0, 0.0]]), rho)
+    with pytest.warns(RuntimeWarning, match=r"empty bracket, lo 4\.317\d* > hi 2\.833"):
+        ps = ci_payoff_set(game, 0.1)
+    assert ps.lo == pytest.approx(4.317, abs=1e-3)
+    assert ps.hi == pytest.approx(2.833, abs=1e-3)
+
+
+def test_ci_payoff_set_nonempty_bracket_does_not_warn(game09):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ps = ci_payoff_set(game09, 0.05)
+    assert ps.lo <= ps.hi
 
 
 def test_stackelberg_mixed_approaches_tie_point(game06):
