@@ -17,7 +17,7 @@ import secrets
 import sys
 
 from .beliefs import TrajectoryRecord, monte_carlo
-from .bruteforce import lattice_steps
+from .bruteforce import check_lattice
 from .configio import (ConfigError, ExperimentConfig, dump_document,
                        emit_scenario_document, load_config)
 from .divergence import find_alpha_star, separation_value
@@ -46,11 +46,12 @@ def _load(args) -> ExperimentConfig:
 
 
 def _grid(args, cfg: ExperimentConfig, default: float = 1e-2) -> float:
-    """Lattice spacing from --grid or the bounds block; it must divide 1 evenly."""
+    """Lattice spacing from --grid or the bounds block; it must divide 1 evenly,
+    and the game's commitment lattice must stay within ``LATTICE_CAP`` points."""
     raw = args.grid if args.grid is not None else cfg.bounds.get("grid", default)
     try:
         grid = float(raw)
-        lattice_steps(grid)
+        check_lattice(len(cfg.game.actions_long), grid)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid {raw!r}: {exc}") from exc
     return grid

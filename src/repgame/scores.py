@@ -14,12 +14,18 @@ kappa_eta(lambda); at eta = 0 the two directions clamp the complete-information
 equilibrium payoff set from above and below.
 
 The score program sees alpha only through supp(alpha). ``kappa`` collects the
-distinct (supp(alpha), beta) programs of its lattice and solves them in one
-``linprog`` call: they share no variable, so they stack as the diagonal blocks
-of one LP whose optimum is every block's optimum. If the joint LP has no
-optimum, the blocks are split in halves and solved again until each failing
-program stands alone, where infeasibility is an answer and any other failure
-raises. ``kstar`` is the same solve with one block.
+distinct (supp(alpha), beta) programs of its lattice in one array pass over
+``simplex_lattice`` (an ``(N, n)`` array, capped at ``LATTICE_CAP`` points)
+and solves them in one ``linprog`` call: they share no variable, so they
+stack as the diagonal blocks of one LP whose optimum is every block's
+optimum. Each program's constraint rows are built once. If the joint LP has
+no optimum, the blocks are split in halves and solved again until each
+failing program stands alone, where infeasibility is an answer and any other
+failure raises. ``kstar`` is the same solve with one block. ``stackelberg``
+is one array pass over the same lattice. Every array pass repeats the
+per-point arithmetic bit for bit: rows are normalized as ``Distribution``
+normalizes a vector, and products are stacked matrix-vector products, the
+ones a single point would make.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import block_diag
+from scipy.sparse import csc_matrix
 
 from .bruteforce import simplex_lattice
 from .game import Distribution, StageGame, mix_signal_dist
@@ -99,6 +105,69 @@ def kstar(game: StageGame, alpha: Distribution, beta: Distribution, direction: i
     return _solve_scores(game, [(alpha.weights > SUPPORT_CUTOFF, beta.weights)], direction)[0]
 
 
+@dataclass(frozen=True, eq=False)
+class _BlockRows:
+    """One constraint family (equalities or inequalities) of a list of score
+    programs, in the CSC order of the block diagonal whose p-th block holds
+    program p's rows; row_start[p] is program p's first row.
+
+    Every block is dense: its rows are [1, -rho(.|a)] (equalities, a in the
+    support) or [-1, rho(.|a)] (inequalities, a off it), and rho has full
+    support. So the matrix of programs lo..hi-1 is a contiguous slice of the
+    arrays, equal entry for entry to ``block_diag`` of their blocks.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    row_start: np.ndarray
+    rhs: np.ndarray
+    n_cols: int
+
+    @classmethod
+    def build(cls, rows: np.ndarray, lead: float, R: np.ndarray, rhs: np.ndarray) -> "_BlockRows":
+        """The rows ``rows[p]`` marks for each program p: [lead, R[a]] per marked a."""
+        C = 1 + R.shape[1]  # variables of each block: [z, x(y_1) ... x(y_n)]
+        prog, act = np.nonzero(rows)
+        m = rows.sum(axis=1)
+        row_start = np.concatenate([[0], np.cumsum(m)])
+        block = np.empty((len(prog), C))
+        block[:, 0] = lead
+        block[:, 1:] = R[act]
+        # entry (row e, column c) of program p goes to C*row_start[p] + c*m[p] + (e - row_start[p])
+        e = np.arange(len(prog))
+        pos = (((C - 1) * row_start[prog] + e)[:, None] + np.arange(C) * m[prog][:, None]).ravel()
+        data = np.empty(block.size)
+        data[pos] = block.ravel()
+        indices = np.empty(block.size, dtype=np.int32)
+        indices[pos] = np.repeat(e, C)
+        indptr = np.concatenate([[0], np.cumsum(np.repeat(m, C))]).astype(np.int32)
+        return cls(data, indices, indptr, row_start, rhs, C)
+
+    def has_rows(self, lo: int, hi: int) -> bool:
+        return bool(self.row_start[hi] > self.row_start[lo])
+
+    def take(self, lo: int, hi: int) -> tuple[csc_matrix, np.ndarray]:
+        """Matrix and right-hand side of programs lo..hi-1."""
+        C = self.n_cols
+        r0, r1 = self.row_start[lo], self.row_start[hi]
+        ptr = self.indptr[lo * C:hi * C + 1]
+        A = csc_matrix((self.data[ptr[0]:ptr[-1]], self.indices[ptr[0]:ptr[-1]] - r0,
+                        ptr - ptr[0]), shape=(r1 - r0, (hi - lo) * C))
+        return A, self.rhs[r0:r1]
+
+
+def _score_rows(game: StageGame, programs: list[tuple[np.ndarray, np.ndarray]]
+                ) -> tuple[_BlockRows, _BlockRows]:
+    """Equality and inequality rows of (support mask, beta weights) programs."""
+    R = game.rho.matrix
+    supp = np.array([supp for supp, _ in programs])
+    betas = np.array([beta_w for _, beta_w in programs])
+    u_beta = (game.u @ betas[:, :, None])[:, :, 0]  # u @ beta_w, program by program
+    return (_BlockRows.build(supp, 1.0, -R, u_beta[supp]),
+            _BlockRows.build(~supp, -1.0, R, -u_beta[~supp]))
+
+
 def _solve_scores(game: StageGame, programs: list[tuple[np.ndarray, np.ndarray]],
                   direction: int) -> list[ScoreResult]:
     """Solve score programs, given as (support mask, beta weights), in one LP.
@@ -107,36 +176,32 @@ def _solve_scores(game: StageGame, programs: list[tuple[np.ndarray, np.ndarray]]
     program whose optimum is every block's optimum. When the joint program
     has no optimum, the list is split in halves until each failing program
     stands alone: alone, infeasibility is an answer and any other failure
-    raises.
+    raises. Each program's rows are built once, whatever the halving.
     """
-    R = game.rho.matrix
-    n_y = R.shape[1]
-    eq_blocks, ub_blocks, b_eq, b_ub = [], [], [], []
-    for supp, beta_w in programs:
-        u_beta = game.u @ beta_w
-        off = ~supp
-        # variables of each block: [z, x(y_1) ... x(y_n)]
-        eq_blocks.append(np.hstack([np.ones((int(supp.sum()), 1)), -R[supp]]))
-        b_eq.append(u_beta[supp])
-        ub_blocks.append(np.hstack([-np.ones((int(off.sum()), 1)), R[off]]))
-        b_ub.append(-u_beta[off])
-    has_ub = sum(len(b) for b in b_ub) > 0
+    eq, ub = _score_rows(game, programs)
+    return _solve_range(eq, ub, 0, len(programs), direction)
+
+
+def _solve_range(eq: _BlockRows, ub: _BlockRows, lo: int, hi: int,
+                 direction: int) -> list[ScoreResult]:
+    """Score programs lo..hi-1 in one LP, halving on failure."""
+    A_eq, b_eq = eq.take(lo, hi)
+    A_ub, b_ub = ub.take(lo, hi) if ub.has_rows(lo, hi) else (None, None)
+    n_cols = eq.n_cols
     block_bounds = np.array([(-np.inf, np.inf)]
-                            + [(-np.inf, 0.0) if direction == +1 else (0.0, np.inf)] * n_y)
-    c = np.zeros(1 + n_y)
+                            + [(-np.inf, 0.0) if direction == +1 else (0.0, np.inf)]
+                            * (n_cols - 1))
+    c = np.zeros(n_cols)
     c[0] = -float(direction)
-    res = linprog(np.tile(c, len(programs)),
-                  A_ub=block_diag(ub_blocks, format="csc") if has_ub else None,
-                  b_ub=np.concatenate(b_ub) if has_ub else None,
-                  A_eq=block_diag(eq_blocks, format="csc"), b_eq=np.concatenate(b_eq),
-                  bounds=np.tile(block_bounds, (len(programs), 1)), method="highs")
+    res = linprog(np.tile(c, hi - lo), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=np.tile(block_bounds, (hi - lo, 1)), method="highs")
     if res.status == 0:
         return [ScoreResult(True, float(x[0]), x[1:].copy(), direction)
-                for x in res.x.reshape(len(programs), 1 + n_y)]
-    if len(programs) > 1:
-        half = len(programs) // 2
-        return (_solve_scores(game, programs[:half], direction)
-                + _solve_scores(game, programs[half:], direction))
+                for x in res.x.reshape(hi - lo, n_cols)]
+    if hi - lo > 1:
+        half = lo + (hi - lo) // 2
+        return (_solve_range(eq, ub, lo, half, direction)
+                + _solve_range(eq, ub, half, hi, direction))
     if res.status == 2:
         return [ScoreResult(False, None, None, direction)]
     if res.status == 3:
@@ -161,31 +226,28 @@ def verify_certificate(game: StageGame, alpha: Distribution, beta: Distribution,
     return worst
 
 
-def _admissible_betas(game: StageGame, alpha_w: np.ndarray, eta: float
-                      ) -> list[tuple[np.ndarray, bool]]:
-    """Pure replies within eta of optimal, plus a coarse lattice of mixtures of them.
+def _normalized(W: np.ndarray) -> np.ndarray:
+    """Rows of W divided by their sums, as ``Distribution`` normalizes one vector."""
+    return W / W.sum(axis=1, keepdims=True)
+
+
+def _admissible_betas(keep: np.ndarray, n_b: int) -> list[tuple[np.ndarray, bool]]:
+    """The pure replies ``keep`` lists, plus a coarse lattice of mixtures of them.
 
     The loss of a mixture is the mixture of pure losses, so every listed beta
-    is eta-admissible by construction. Bool flags mark properly mixed entries.
-    Mixtures are normalized as ``Distribution`` normalizes them.
+    is as admissible as the worst pure reply it mixes. Bool flags mark
+    properly mixed entries. Mixtures are normalized as ``Distribution``
+    normalizes them.
     """
-    row = alpha_w @ game.v
-    losses = row.max() - row
-    keep = np.flatnonzero(losses <= eta + BR_TIE_TOL)
-    n_b = len(game.actions_short)
-    out: list[tuple[np.ndarray, bool]] = []
-    for j in keep:
-        w = np.zeros(n_b)
-        w[j] = 1.0
-        out.append((w, False))
+    pure = np.zeros((len(keep), n_b))
+    pure[np.arange(len(keep)), keep] = 1.0
+    out = [(w, False) for w in pure]
     if len(keep) >= 2:
-        for mix in simplex_lattice(len(keep), BETA_SUBGRID):
-            if np.any(np.abs(mix - 1.0) < 1e-12):
-                continue  # vertices already listed as pure
-            w = np.zeros(n_b)
-            w[keep] = mix
-            w /= float(w.sum())
-            out.append((w, True))
+        mix = simplex_lattice(len(keep), BETA_SUBGRID)
+        mix = mix[~np.any(np.abs(mix - 1.0) < 1e-12, axis=1)]  # vertices already listed as pure
+        mixed = np.zeros((len(mix), n_b))
+        mixed[:, keep] = mix
+        out.extend((w, True) for w in _normalized(mixed))
     return out
 
 
@@ -193,26 +255,37 @@ def kappa(game: StageGame, direction: int, eta: float, grid: float) -> float:
     """sup of lambda z* over gridded pairs with an eta-admissible short-run reply.
 
     Returns -inf when no admissible pair is feasible. The score program sees
-    alpha only through its support, so the distinct (supp(alpha), beta)
-    programs of the lattice are collected first and solved together in one
-    LP. Mixed replies enter only through the coarse sub-lattice; a warning is
-    raised if one strictly beats every pure reply, since that signals the
-    sub-grid actually matters.
+    alpha only through its support, and the admissible replies depend on
+    alpha only through which pure replies are within eta of the best. So one
+    array pass over the lattice gives every point's (support, reply mask)
+    row; the replies of each distinct mask are listed once, and the distinct
+    (supp(alpha), beta) programs, in order of first appearance along the
+    lattice, are solved together in one LP. Mixed replies enter only through
+    the coarse sub-lattice; a warning is raised if one strictly beats every
+    pure reply, since that signals the sub-grid actually matters.
     """
     if direction not in (+1, -1):
         raise ValueError(f"kappa: direction must be +1 or -1, got {direction!r}")
     if eta < 0.0:
         raise ValueError(f"kappa: eta must be >= 0, got {eta!r}")
+    n_b = len(game.actions_short)
+    alpha = _normalized(simplex_lattice(len(game.actions_long), grid))
+    supp = alpha > SUPPORT_CUTOFF
+    rows = (alpha[:, None, :] @ game.v)[:, 0, :]  # alpha_w @ v, point by point
+    keep = rows.max(axis=1, keepdims=True) - rows <= eta + BR_TIE_TOL
+    _, first = np.unique(np.hstack([supp, keep]), axis=0, return_index=True)
+    betas: dict[bytes, list[tuple[np.ndarray, bool]]] = {}
     programs: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray, bool]] = {}
-    for alpha_w in simplex_lattice(len(game.actions_long), grid):
-        alpha_w /= float(alpha_w.sum())  # as Distribution normalizes it
-        supp = alpha_w > SUPPORT_CUTOFF
-        supp_key = supp.tobytes()
-        for beta_w, is_mixed in _admissible_betas(game, alpha_w, eta):
+    for i in np.sort(first):
+        mask_key = keep[i].tobytes()
+        if mask_key not in betas:
+            betas[mask_key] = _admissible_betas(np.flatnonzero(keep[i]), n_b)
+        supp_key = supp[i].tobytes()
+        for beta_w, is_mixed in betas[mask_key]:
             key = (supp_key, beta_w.tobytes())
             if key not in programs:
-                programs[key] = (supp, beta_w, is_mixed)
-    results = _solve_scores(game, [(supp, beta_w) for supp, beta_w, _ in programs.values()],
+                programs[key] = (supp[i], beta_w, is_mixed)
+    results = _solve_scores(game, [(supp_i, beta_w) for supp_i, beta_w, _ in programs.values()],
                             direction)
     best = -np.inf
     best_pure = -np.inf
@@ -261,21 +334,19 @@ def stackelberg(game: StageGame, grid: float, *, pure: bool = False
 
     Grid supremum of min over br2(rho_alpha) of u(alpha, b); ``pure`` restricts
     the commitment to vertices. Ties go to the first grid point reaching the sup.
+    One array pass: every point's signal law, reply values and payoff row are
+    computed as ``br2`` and ``mix_signal_dist`` compute them for that point.
     """
     n = len(game.actions_long)
-    points = (np.eye(n)[i] for i in range(n)) if pure else simplex_lattice(n, grid)
-    best = -np.inf
-    best_alpha: Distribution | None = None
-    for alpha_w in points:
-        alpha = Distribution(game.actions_long, alpha_w)
-        replies = br2(game, mix_signal_dist(game.rho, alpha))
-        u_row = alpha.weights @ game.u
-        val = min(float(u_row[game.actions_short.index(b)]) for b in replies)
-        if val > best:
-            best = val
-            best_alpha = alpha
-    assert best_alpha is not None
-    return best, best_alpha
+    points = np.eye(n) if pure else simplex_lattice(n, grid)
+    alpha = _normalized(points)
+    q = _normalized((alpha[:, None, :] @ game.rho.matrix)[:, 0, :])
+    vals = (game.v_tilde @ q[:, :, None])[:, :, 0]
+    replies = vals >= vals.max(axis=1, keepdims=True) - BR_TIE_TOL
+    u_rows = (alpha[:, None, :] @ game.u)[:, 0, :]
+    worst = np.where(replies, u_rows, np.inf).min(axis=1)
+    i = int(np.argmax(worst))
+    return float(worst[i]), Distribution(game.actions_long, points[i])
 
 
 def reputation_lower_bound(game: StageGame, alpha_star: Distribution) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import repgame.beliefs
+import repgame.bruteforce
 import repgame.cli
 import repgame.divergence
 from repgame.cli import main
@@ -221,6 +222,8 @@ def test_commands_need_config(capsys):
     ("bounds", None, {"grid": "abc"}),
     ("stackelberg", None, {"grid": 0.0}),
     ("bounds", None, {"grid": 0.05, "eta": 0.0}),
+    ("bounds", "1e-7", None),
+    ("stackelberg", None, {"grid": 1e-7}),
 ])
 def test_bad_grid_is_a_config_error(capsys, tmp_path, command, grid, bounds):
     doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
@@ -232,6 +235,26 @@ def test_bad_grid_is_a_config_error(capsys, tmp_path, command, grid, bounds):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "grid" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "stackelberg"])
+def test_lattice_above_cap_is_a_config_error(capsys, monkeypatch, tmp_path, command):
+    # three long-run actions at 1e-4 make 50,015,001 lattice points; the
+    # answer stops before any lattice is built
+    doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
+    game, fw = doc["game"], doc["framework"]
+    game["actions_long"].append("a_m")
+    game["u"].append([2.5, 0.5])
+    game["rho"].append([0.45, 0.55])
+    fw["kernels"] = [[kernel + [[0.45, 0.55]] for kernel in model] for model in fw["kernels"]]
+    fw["commitment_action"].append(0.0)
+    path = tmp_path / "cfg.json"
+    dump_document(doc, path)
+    monkeypatch.setattr(repgame.bruteforce, "_lattice_counts", None)
+    code, _, err = run(capsys, command, "--config", str(path), "--grid", "1e-4")
+    assert code == 2
+    assert "50,015,001 points" in err
     assert "Traceback" not in err
 
 

@@ -7,16 +7,20 @@ the allowed orthant gives z = 2 - (1-p)/(p-q) downward (direction +1) and
 z = 2 + p/(p-q) upward (direction -1). With p=0.9, q=0.4: 1.8 and 3.8.
 """
 
+import time
 import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import block_diag
 
 import repgame.scores
-from repgame.game import Distribution, StageGame, SignalStructure
+from repgame.bruteforce import simplex_lattice
+from repgame.game import Distribution, StageGame, SignalStructure, mix_signal_dist
 from repgame.scenarios import product_choice, three_signal
-from repgame.scores import (br2, ci_payoff_set, kappa, kstar, optimality_loss,
+from repgame.scores import (BETA_SUBGRID, BR_TIE_TOL, SUPPORT_CUTOFF, ScoreResult, br2,
+                            ci_payoff_set, kappa, kstar, optimality_loss,
                             reputation_lower_bound, stackelberg, verify_certificate)
 
 
@@ -112,7 +116,6 @@ def test_kstar_direction_validation(game09):
 
 
 def test_verify_certificate_flags_tampering(game09):
-    from repgame.scores import ScoreResult
     a_h = game09.long_dist([1.0, 0.0])
     b_h = game09.short_dist([1.0, 0.0])
     res = kstar(game09, a_h, b_h, +1)
@@ -312,3 +315,153 @@ def test_reputation_lower_bound(game06):
     # at the exact tie the adversary picks b_l: u(alpha, b_l) = 1 - alpha_h
     tie = game06.long_dist([0.5, 0.5])
     assert reputation_lower_bound(game06, tie) == pytest.approx(0.5, abs=1e-12)
+
+
+def _programs_per_point(game, eta, grid):
+    """kappa's score programs collected one lattice point at a time (test-only reference)."""
+    programs = {}
+    n_b = len(game.actions_short)
+    for alpha_w in simplex_lattice(len(game.actions_long), grid):
+        alpha_w = alpha_w / float(alpha_w.sum())
+        supp = alpha_w > SUPPORT_CUTOFF
+        row = alpha_w @ game.v
+        keep = np.flatnonzero(row.max() - row <= eta + BR_TIE_TOL)
+        betas = []
+        for j in keep:
+            w = np.zeros(n_b)
+            w[j] = 1.0
+            betas.append(w)
+        if len(keep) >= 2:
+            for mix in simplex_lattice(len(keep), BETA_SUBGRID):
+                if np.any(np.abs(mix - 1.0) < 1e-12):
+                    continue
+                w = np.zeros(n_b)
+                w[keep] = mix
+                w /= float(w.sum())
+                betas.append(w)
+        for beta_w in betas:
+            programs.setdefault((supp.tobytes(), beta_w.tobytes()), None)
+    return list(programs)
+
+
+def _four_action_game():
+    # four long-run actions, three signals, three replies; integer payoffs give exact ties
+    acts, sig = ("a0", "a1", "a2", "a3"), ("y0", "y1", "y2")
+    rho = SignalStructure(acts, sig, np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3],
+                                               [0.1, 0.2, 0.7], [0.3, 0.3, 0.4]]))
+    return StageGame(acts, ("b0", "b1", "b2"), sig,
+                     np.array([[2.0, 0.0, 1.0], [3.0, 1.0, 1.0], [1.0, 2.0, 0.0], [2.0, 2.0, 2.0]]),
+                     np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 2.0]]), rho)
+
+
+def _tie_game():
+    # replies b0 and b1 have equal signal payoffs, so both are always best
+    # together; u's first column is constant
+    acts, sig = ("a0", "a1", "a2"), ("y0", "y1")
+    rho = SignalStructure(acts, sig, np.array([[0.7, 0.3], [0.4, 0.6], [0.2, 0.8]]))
+    return StageGame(acts, ("b0", "b1", "b2"), sig,
+                     np.array([[2.0, 0.0, 3.0], [2.0, 1.0, 0.0], [2.0, 3.0, 1.0]]),
+                     np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), rho)
+
+
+@pytest.mark.parametrize("make, eta, grid", [
+    (lambda: product_choice(0.9, 0.4, 0.0)[0], 0.0, 1e-2),
+    (lambda: product_choice(0.6, 0.3, 0.1)[0], 0.3, 0.05),
+    (_mixed_feasibility_game, 0.0, 0.1),
+    (_four_action_game, 0.0, 0.1),
+    (_four_action_game, 0.2, 0.2),
+    (_tie_game, 0.0, 0.05),
+], ids=["product_choice", "eta", "mixed_feasibility", "four_actions", "four_actions_eta", "tie"])
+def test_kappa_collects_the_per_point_programs_in_order(monkeypatch, make, eta, grid):
+    game = make()
+    batches = []
+
+    def record(game, programs, direction):  # no solve: only the collection is checked
+        batches.append(programs)
+        return [ScoreResult(False, None, None, direction)] * len(programs)
+
+    monkeypatch.setattr(repgame.scores, "_solve_scores", record)
+    assert kappa(game, +1, eta, grid) == -np.inf
+    programs, = batches
+    keys = [(supp.tobytes(), beta_w.tobytes()) for supp, beta_w in programs]
+    assert keys == _programs_per_point(game, eta, grid)
+
+
+def _stackelberg_per_point(game, grid, pure=False):
+    """The Stackelberg search one point at a time (test-only reference)."""
+    n = len(game.actions_long)
+    points = np.eye(n) if pure else simplex_lattice(n, grid)
+    best, best_alpha = -np.inf, None
+    for alpha_w in points:
+        alpha = Distribution(game.actions_long, alpha_w)
+        replies = br2(game, mix_signal_dist(game.rho, alpha))
+        u_row = alpha.weights @ game.u
+        val = min(float(u_row[game.actions_short.index(b)]) for b in replies)
+        if val > best:
+            best, best_alpha = val, alpha
+    return best, best_alpha
+
+
+@pytest.mark.parametrize("make, grid", [
+    (lambda: product_choice(0.6, 0.3, 0.1)[0], 1e-3),
+    (_four_action_game, 0.05),
+    (_tie_game, 0.02),
+    (_mixed_feasibility_game, 0.01),
+], ids=["product_choice", "four_actions", "tie", "mixed_feasibility"])
+@pytest.mark.parametrize("pure", [False, True])
+def test_stackelberg_matches_per_point_loop(make, grid, pure):
+    game = make()
+    value, alpha = stackelberg(game, grid, pure=pure)
+    ref_value, ref_alpha = _stackelberg_per_point(game, grid, pure)
+    assert value == ref_value
+    assert alpha.labels == ref_alpha.labels
+    assert alpha.weights.tobytes() == ref_alpha.weights.tobytes()
+
+
+def test_score_blocks_match_block_diag(monkeypatch):
+    # every batch and half-batch matrix equals block_diag of the per-program blocks
+    game = _mixed_feasibility_game()
+    batches = _record_batches(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        kappa(game, -1, 0.0, 0.1)
+    (programs, _, _), = batches
+    R = game.rho.matrix
+    eq, ub = repgame.scores._score_rows(game, programs)
+    n = len(programs)
+    for lo, hi in [(0, n), (0, n // 2), (n // 2, n), (n // 4, n // 4 + 1), (5, 37)]:
+        u_beta = [game.u @ beta_w for _, beta_w in programs[lo:hi]]
+        supps = [supp for supp, _ in programs[lo:hi]]
+        want = {
+            "eq": ([np.hstack([np.ones((int(s.sum()), 1)), -R[s]]) for s in supps],
+                   [u[s] for u, s in zip(u_beta, supps)]),
+            "ub": ([np.hstack([-np.ones((int((~s).sum()), 1)), R[~s]]) for s in supps],
+                   [-u[~s] for u, s in zip(u_beta, supps)]),
+        }
+        for family, (blocks, rhs) in zip((eq, ub), want.values()):
+            got, got_rhs = family.take(lo, hi)
+            ref = block_diag(blocks, format="csc")
+            assert got.shape == ref.shape
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+                assert getattr(got, attr).dtype == getattr(ref, attr).dtype, attr
+            assert got_rhs.tobytes() == np.concatenate(rhs).tobytes()
+
+
+def test_stackelberg_and_bounds_speed_on_three_actions():
+    # the 3x3 game of test_ci_payoff_set_warns_on_empty_bracket at grid 1e-3
+    acts, sig = ("a0", "a1", "a2"), ("y0", "y1", "y2")
+    rho = SignalStructure(acts, sig, np.array([[0.2, 0.24, 0.56], [0.65, 0.1, 0.25],
+                                               [0.83, 0.09, 0.08]]))
+    game = StageGame(acts, ("b0", "b1", "b2"), sig,
+                     np.array([[0.0, 4.0, 4.0], [3.0, 0.0, 3.0], [3.0, 3.0, 3.0]]),
+                     np.array([[2.0, 1.0, 4.0], [4.0, 3.0, 1.0], [2.0, 2.0, 0.0]]), rho)
+    t0 = time.perf_counter()
+    stackelberg(game, 1e-3)
+    t1 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ci_payoff_set(game, 1e-3)
+    t2 = time.perf_counter()
+    assert t1 - t0 < 1.0
+    assert t2 - t1 < 3.0
