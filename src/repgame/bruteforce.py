@@ -5,9 +5,10 @@ minima. They exist to audit the conditional-gradient projections and the
 closed-form distances, and they call into nothing but raw array math. The
 lattice itself, ``simplex_lattice``, is shared: the score programs and the
 Stackelberg search in ``scores`` walk it too. It is one ``(N, n)`` array, so
-``LATTICE_CAP`` bounds its size: a finer lattice is a ``ValueError``, not a
-``MemoryError``. The two- and three-action oracles do not use it: they scan
-lattices of their own, the three-action one in chunks that fit in cache.
+``LATTICE_CAP`` bounds its size: a finer lattice is a ``LatticeCapError`` (a
+``ValueError``), not a ``MemoryError``. The two- and three-action oracles do
+not use it: they scan lattices of their own, the three-action one in chunks
+that fit in cache.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from math import comb
 
 import numpy as np
 
-__all__ = ["LATTICE_CAP", "check_lattice", "grid_min_kl_forward", "grid_min_kl_reverse",
-           "lattice_size", "lattice_steps", "simplex_lattice"]
+__all__ = ["LATTICE_CAP", "LatticeCapError", "check_lattice", "grid_min_kl_forward",
+           "grid_min_kl_reverse", "lattice_size", "lattice_steps", "simplex_lattice"]
 
 LATTICE_CAP = 2**21  # most points simplex_lattice builds (2,097,152)
 
@@ -39,14 +40,19 @@ def lattice_size(n: int, resolution: float) -> int:
     return comb(lattice_steps(resolution) + n - 1, n - 1)
 
 
+class LatticeCapError(ValueError):
+    """A valid lattice with more than ``LATTICE_CAP`` points."""
+
+
 def check_lattice(n: int, resolution: float) -> int:
     """Steps k of the n-action lattice; ValueError unless ``resolution`` is
-    valid and the lattice has at most ``LATTICE_CAP`` points."""
+    valid, and LatticeCapError if the lattice has more than ``LATTICE_CAP``
+    points."""
     k = lattice_steps(resolution)
     size = lattice_size(n, resolution)
     if size > LATTICE_CAP:
-        raise ValueError(f"the lattice of {n} actions at resolution {resolution!r} has "
-                         f"{size:,} points, above the cap of {LATTICE_CAP:,}")
+        raise LatticeCapError(f"the lattice of {n} actions at resolution {resolution!r} has "
+                              f"{size:,} points, above the cap of {LATTICE_CAP:,}")
     return k
 
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import secrets
 import sys
 
 from .beliefs import TrajectoryRecord, monte_carlo
-from .bruteforce import check_lattice
+from .bruteforce import LatticeCapError, check_lattice
 from .configio import (ConfigError, ExperimentConfig, dump_document,
                        emit_scenario_document, load_config)
 from .divergence import find_alpha_star, separation_value
@@ -201,7 +202,10 @@ def cmd_scenario(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The repgame parser, built once per process: building it costs about
+    twenty parses, and parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON experiment config")
     common.add_argument("--out", help="output directory")
@@ -247,7 +251,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, LatticeCapError) as exc:
+        # LatticeCapError: a lattice an answer needs, such as kappa's
+        # mixed-reply lattice over many tied replies, is too big to list
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,6 +7,12 @@ is exactly a hull-membership question, and the two routes (a linear
 feasibility program and a convex KL projection) are kept independent so each
 can audit the other.
 
+Each route does one solve per model. The KL projection is conditional
+gradient whose exact line search is a Brent root-find on the monotone
+derivative along the step. The LP route is one phase-1 program: its optimal
+witness decides membership, and for a non-member its duals on the signal rows
+are the separating hyperplane, so no second LP is solved.
+
 All divergences are in nats.
 """
 
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
 
 from .frameworks import Framework
 from .game import Distribution, SignalStructure, mix_signal_dist
@@ -44,6 +50,11 @@ __all__ = [
 MEMBER_TOL = 1e-9
 # separation_value treats min-KL at or below this as "zero" for the cross-check.
 EQUIV_TOL = 1e-7
+# Line-search root-find: steps resolved to double precision. brentq accepts no
+# rtol below 4 eps, and an xtol of 1e-300 does not converge.
+_LS_XTOL = 1e-17
+_LS_RTOL = 4.0 * np.finfo(float).eps
+_LS_MAXITER = 200
 
 
 def _kl_arrays(p: np.ndarray, q: np.ndarray) -> float:
@@ -95,6 +106,13 @@ def minimize_convex_over_simplex(
     suboptimality of a convex objective, so stopping at ``gap_tol`` certifies
     the returned value to the same accuracy. Away steps restore linear
     convergence when the optimum sits on a face.
+
+    The line search minimizes phi(gamma) = f(x + gamma d) on [0, gamma_max].
+    phi' is nondecreasing and negative at 0, so either phi'(gamma_max) <= 0
+    and the full step is taken, or phi' changes sign inside and Brent's
+    method finds that root to double precision in a dozen or so objective
+    calls. A root-find that hits its iteration cap returns its best bracket
+    estimate; the FW gap, not the step, certifies the result.
     """
     x = np.full(n, 1.0 / n)
     val, grad = value_and_grad(x)
@@ -123,15 +141,13 @@ def minimize_convex_over_simplex(
 
         if dphi(gamma_max) <= 0.0:
             gamma = gamma_max
+        elif grad @ d >= 0.0:
+            # phi'(0) = grad . d lost its sign to rounding (gaps near eps):
+            # no descent is measurable along d, and brentq needs a bracket.
+            gamma = 0.0
         else:
-            lo, hi = 0.0, gamma_max
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if dphi(mid) <= 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            gamma = 0.5 * (lo + hi)
+            gamma = brentq(dphi, 0.0, gamma_max, xtol=_LS_XTOL, rtol=_LS_RTOL,
+                           maxiter=_LS_MAXITER, disp=False)
         x = x + gamma * d
         np.clip(x, 0.0, None, out=x)
         x /= x.sum()
@@ -172,27 +188,19 @@ def _lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     return res
 
 
-def _separating_hyperplane(q: np.ndarray, R: np.ndarray) -> SeparationCertificate:
-    n_a, n_y = R.shape
-    # maximize h.q - z  s.t.  R h <= z, -1 <= h <= 1
-    c = np.concatenate([-q, [1.0]])
-    A_ub = np.hstack([R, -np.ones((n_a, 1))])
-    b_ub = np.zeros(n_a)
-    bounds = [(-1.0, 1.0)] * n_y + [(None, None)]
-    res = _lp(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds)
-    if res.status != 0:
-        raise RuntimeError("separating-hyperplane program should always be feasible and bounded")
-    h = res.x[:n_y]
-    z = float(res.x[n_y])
-    return SeparationCertificate(h, z, float(h @ q - z))
-
-
 def hull_membership(q: Distribution, rho: SignalStructure, *, tol: float = MEMBER_TOL) -> HullMembership:
     """Decide whether q lies in co{rho(.|a)} by exact linear feasibility.
 
     Phase-1 form: minimize the L1 defect of R^T alpha = q over the action
     simplex. Membership means the optimal witness reproduces q within ``tol``
     in every coordinate; otherwise a separating hyperplane is returned.
+
+    The hyperplane is read off the same solve. The LP dual of the phase-1
+    program is: maximize h.q - z subject to R h <= z and -1 <= h <= 1, whose
+    optimum is the L1 defect. So the duals h of the n_y signal rows
+    separate q from every rho_a with margin h.q - max_a h.rho_a equal to
+    that defect; threshold and margin are recomputed from h, not taken from
+    the solver's z.
     """
     if q.labels != rho.signals:
         raise ValueError(f"hull_membership: signal labels {q.labels} != {rho.signals}")
@@ -215,7 +223,10 @@ def hull_membership(q: Distribution, rho: SignalStructure, *, tol: float = MEMBE
     residual = float(np.abs(alpha @ R - q.weights).max())
     if residual <= tol:
         return HullMembership(True, Distribution(rho.actions, alpha), None, residual)
-    return HullMembership(False, None, _separating_hyperplane(q.weights, R), residual)
+    h = res.eqlin.marginals[:n_y]
+    threshold = float((R @ h).max())
+    cert = SeparationCertificate(h, threshold, float(h @ q.weights) - threshold)
+    return HullMembership(False, None, cert, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +352,17 @@ def find_alpha_star(report: SeparationReport, *, tol: float = 1e-8
     """Model and mixed action reproducing a commitment slice exactly, if any.
 
     Reads a ``separation_value`` report. Returns (m_star, alpha_star) with
-    alpha_star the hull witness when the separation value vanishes (within
-    ``tol``); None for separating frameworks.
+    m_star the first in-hull model in framework order and alpha_star its hull
+    witness, when the separation value vanishes (within ``tol``); None for
+    separating frameworks. Every member has an exact LP witness, and the
+    members' KL values are all rounding noise, so the choice goes by order,
+    not by KL.
     """
     if report.value > tol:
         return None
-    members = [m for m, member in report.membership.items() if member]
-    if not members:
+    m_star = next((m for m, member in report.membership.items() if member), None)
+    if m_star is None:
         return None
-    m_star = min(members, key=lambda m: report.per_model_value[m])
     witness = report.witnesses[m_star]
     assert witness is not None
     return m_star, witness

@@ -258,6 +258,23 @@ def test_lattice_above_cap_is_a_config_error(capsys, monkeypatch, tmp_path, comm
     assert "Traceback" not in err
 
 
+def test_mixed_reply_lattice_above_cap_is_a_config_error(capsys, tmp_path):
+    # five short-run replies with equal signal payoffs are tied at every alpha,
+    # so kappa would list the mixtures of all five on its 1e-2 sub-grid
+    doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
+    game = doc["game"]
+    game["actions_short"] = [f"b{i}" for i in range(5)]
+    game["u"] = [[2.0, 0.0, 1.0, 0.5, 1.5], [3.0, 1.0, 2.0, 1.5, 2.5]]
+    game["v_tilde"] = [[1.0, 0.0]] * 5
+    path = tmp_path / "cfg.json"
+    dump_document(doc, path)
+    code, out, err = run(capsys, "bounds", "--config", str(path), "--grid", "0.1")
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "4,598,126 points" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("block, key, value", [
     ("simulation", "runs", "abc"),
     ("simulation", "runs", 2.7),
@@ -292,6 +309,24 @@ def test_missing_config_file(capsys):
     code, _, err = run(capsys, "bounds", "--config", "/nonexistent/cfg.json")
     assert code == 2
     assert "cannot read" in err
+
+
+def test_main_runs_different_subcommands_in_one_process(capsys, sim_config):
+    # the parser is built once per process; each call still parses afresh
+    code, out, _ = run(capsys, "scenario", "list")
+    assert code == 0 and "product_choice" in out
+    code, out, _ = run(capsys, "stackelberg", "--config", sim_config, "--grid", "0.1")
+    assert code == 0 and json.loads(out)["grid"] == 0.1
+    code, out, _ = run(capsys, "check-separation", "--config", sim_config)
+    assert code == 0 and json.loads(out)["separating"] is True
+    code, out, _ = run(capsys, "stackelberg", "--config", sim_config)
+    assert code == 0 and json.loads(out)["grid"] == 0.05  # no --grid left over
+    with pytest.raises(SystemExit) as exc:
+        main(["stackelberg", "--grid", "x"])
+    assert exc.value.code == 2
+    assert "invalid float value" in capsys.readouterr().err
+    code, out, _ = run(capsys, "scenario", "list")
+    assert code == 0 and "product_choice" in out
 
 
 def test_verify_unknown_suite(capsys):

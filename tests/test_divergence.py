@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import repgame.divergence
 from repgame.bruteforce import grid_min_kl_forward
-from repgame.divergence import (dc_dn, find_alpha_star, hull_membership, kl,
-                                min_kl_over_attainable,
+from repgame.divergence import (MEMBER_TOL, SeparationCertificate, SeparationReport,
+                                SimplexMinResult, dc_dn, find_alpha_star,
+                                hull_membership, kl, min_kl_over_attainable,
                                 minimize_convex_over_simplex,
                                 normal_favoring_check, separation_value, tv)
+from repgame.frameworks import Framework
 from repgame.game import Distribution, SignalStructure
 
 # Hand values for the Bern(0.6)/Bern(0.3) monitoring rows.
@@ -130,6 +134,23 @@ def test_simplex_minimizer_iteration_cap_warns():
     assert not res.converged
 
 
+def test_simplex_minimizer_survives_rounding_level_gaps():
+    # At gap_tol 0 this interior projection reaches a step whose phi'(0) =
+    # grad . d has rounded to >= 0: the root-find has no bracket there, so the
+    # step must be skipped rather than raise.
+    R = np.array([[0.6442357150065474, 0.2470017309792342, 0.10876255401421847],
+                  [0.2796691055355149, 0.6523560377286913, 0.06797485673579381],
+                  [0.07859548211925348, 0.7330807981483237, 0.18832371973242282],
+                  [0.07192450075414372, 0.14911394020930563, 0.7789615590365507]])
+    alpha = np.array([0.3113068153847344, 0.2150387430223658,
+                      0.2399268335271066, 0.23372760806579318])
+    labels = ("y0", "y1", "y2")
+    rho = SignalStructure(("a0", "a1", "a2", "a3"), labels, R)
+    res = min_kl_over_attainable(Distribution(labels, alpha @ R), rho, gap_tol=0.0, max_iter=100)
+    assert res.converged
+    assert res.value <= 1e-15
+
+
 # -- hull membership ----------------------------------------------------------
 
 def rho_06_03():
@@ -161,6 +182,167 @@ def test_hull_nonmember_has_separating_certificate():
 def test_hull_membership_label_check():
     with pytest.raises(ValueError, match="signal labels"):
         hull_membership(Distribution(("u", "v"), [0.5, 0.5]), rho_06_03())
+
+
+# -- root-find line search and dual certificate vs their references ----------
+
+def bisection_minimize(value_and_grad, n, *, gap_tol=1e-10, max_iter=100_000):
+    """Reference: minimize_convex_over_simplex with its line search done by
+    80 bisection steps on phi'. Test-only; the library root-finds instead."""
+    x = np.full(n, 1.0 / n)
+    val, grad = value_and_grad(x)
+    it = 0
+    gap = np.inf
+    for it in range(1, max_iter + 1):
+        s = int(np.argmin(grad))
+        gap = float(grad @ x - grad[s])
+        if gap <= gap_tol:
+            return SimplexMinResult(x, val, gap, it, True)
+        support = np.flatnonzero(x > 0.0)
+        a = int(support[np.argmax(grad[support])])
+        away_gap = float(grad[a] - grad @ x)
+        if away_gap > gap and x[a] < 1.0:
+            d = x.copy()
+            d[a] -= 1.0
+            gamma_max = x[a] / (1.0 - x[a])
+        else:
+            d = -x.copy()
+            d[s] += 1.0
+            gamma_max = 1.0
+
+        def dphi(gamma):
+            _, g = value_and_grad(x + gamma * d)
+            return float(g @ d)
+
+        if dphi(gamma_max) <= 0.0:
+            gamma = gamma_max
+        else:
+            lo, hi = 0.0, gamma_max
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                if dphi(mid) <= 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            gamma = 0.5 * (lo + hi)
+        x = x + gamma * d
+        np.clip(x, 0.0, None, out=x)
+        x /= x.sum()
+        val, grad = value_and_grad(x)
+    return SimplexMinResult(x, val, gap, it, False)
+
+
+def reference_hyperplane(q, R):
+    """Reference: the max-margin separating hyperplane as its own LP,
+    maximize h.q - z s.t. R h <= z, -1 <= h <= 1. Test-only; hull_membership
+    reads the same hyperplane off its phase-1 duals."""
+    n_a, n_y = R.shape
+    res = linprog(np.concatenate([-q, [1.0]]), A_ub=np.hstack([R, -np.ones((n_a, 1))]),
+                  b_ub=np.zeros(n_a), bounds=[(-1.0, 1.0)] * n_y + [(None, None)],
+                  method="highs")
+    assert res.status == 0
+    h, z = res.x[:n_y], float(res.x[n_y])
+    return SeparationCertificate(h, z, float(h @ q - z))
+
+
+def reference_hull_membership(q, rho):
+    """Reference: the phase-1 membership LP followed by a second LP for the
+    hyperplane of a non-member."""
+    R = rho.matrix
+    n_a, n_y = R.shape
+    c = np.concatenate([np.zeros(n_a), np.ones(2 * n_y)])
+    A_eq = np.vstack([np.hstack([R.T, np.eye(n_y), -np.eye(n_y)]),
+                      np.concatenate([np.ones(n_a), np.zeros(2 * n_y)])[None, :]])
+    res = linprog(c, A_eq=A_eq, b_eq=np.concatenate([q.weights, [1.0]]),
+                  bounds=(0.0, None), method="highs")
+    assert res.status == 0
+    alpha = np.clip(res.x[:n_a], 0.0, None)
+    alpha /= alpha.sum()
+    residual = float(np.abs(alpha @ R - q.weights).max())
+    if residual <= MEMBER_TOL:
+        return True, Distribution(rho.actions, alpha), None
+    return False, None, reference_hyperplane(q.weights, R)
+
+
+def random_slices(seed, count):
+    """Seeded (q, rho) pairs of 2-4 actions and 2-4 signals: even cases are
+    mixtures of the rows (inside the hull), odd ones free draws (mostly outside)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n_a, n_y = (int(v) for v in rng.integers(2, 5, size=2))
+        R = rng.dirichlet(np.full(n_y, 2.0), size=n_a) * 0.9 + 0.1 / n_y
+        if k % 2 == 0:
+            q = rng.dirichlet(np.ones(n_a)) @ R
+        else:
+            q = rng.dirichlet(np.ones(n_y)) * 0.9 + 0.1 / n_y
+        signals = tuple(f"y{i}" for i in range(n_y))
+        rho = SignalStructure(tuple(f"a{i}" for i in range(n_a)), signals, R)
+        yield Distribution(signals, q), rho
+
+
+@pytest.mark.filterwarnings("ignore:simplex minimization stopped")
+def test_root_find_line_search_matches_bisection(monkeypatch):
+    # max_iter 300 keeps the bisection reference affordable; the few interior
+    # 3+-action slices that need more stop unconverged on both sides, where
+    # each value is certified only to its own FW gap
+    gap_tol, converged = 1e-10, []
+    for q, rho in random_slices(11, 200):
+        new = min_kl_over_attainable(q, rho, gap_tol=gap_tol, max_iter=300)
+        with monkeypatch.context() as m:
+            m.setattr(repgame.divergence, "minimize_convex_over_simplex", bisection_minimize)
+            ref = min_kl_over_attainable(q, rho, gap_tol=gap_tol, max_iter=300)
+        assert new.converged == ref.converged
+        tol = gap_tol if new.converged else max(new.gap, ref.gap)
+        assert new.value == pytest.approx(ref.value, abs=tol)
+        converged.append(new.converged)
+    assert 0 < sum(converged) < len(converged)
+
+
+def test_dual_certificate_matches_reference_lp():
+    outside = 0
+    for q, rho in random_slices(12, 200):
+        res = hull_membership(q, rho)
+        member, witness, ref_cert = reference_hull_membership(q, rho)
+        assert res.member == member
+        if member:
+            assert res.witness.labels == witness.labels
+            assert np.array_equal(res.witness.weights, witness.weights)
+            continue
+        assert res.witness is None
+        cert = res.certificate
+        assert cert.threshold == float((rho.matrix @ cert.normal).max())
+        assert cert.margin == float(cert.normal @ q.weights) - cert.threshold
+        assert np.all(np.abs(cert.normal) <= 1.0 + 1e-9)
+        if ref_cert.margin >= 1e-6:
+            outside += 1
+            assert cert.margin > 0.0
+            assert cert.margin == pytest.approx(ref_cert.margin, abs=1e-12)
+    assert outside >= 50
+
+
+# The benchmark's fixed interior slice (benchmark/inputs.py, FIXED_INTERIOR):
+# three actions and three signals, strictly inside the hull.
+FIXED_INTERIOR_R = np.array([[0.057, 0.491, 0.452], [0.282, 0.458, 0.26],
+                             [0.594, 0.213, 0.193]])
+FIXED_INTERIOR_ALPHA = np.array([0.303, 0.503, 0.194])
+
+
+def test_root_find_costs_under_twenty_objective_calls_per_iteration(monkeypatch):
+    calls = []
+    real = repgame.divergence.minimize_convex_over_simplex
+
+    def counting(value_and_grad, n, **kwargs):
+        def counted(x):
+            calls.append(1)
+            return value_and_grad(x)
+        return real(counted, n, **kwargs)
+
+    monkeypatch.setattr(repgame.divergence, "minimize_convex_over_simplex", counting)
+    labels = ("y0", "y1", "y2")
+    rho = SignalStructure(("a0", "a1", "a2"), labels, FIXED_INTERIOR_R)
+    res = min_kl_over_attainable(Distribution(labels, FIXED_INTERIOR_ALPHA @ FIXED_INTERIOR_R), rho)
+    assert res.converged
+    assert len(calls) < 20 * res.iterations
 
 
 # -- KL projection vs the independent grid oracle -----------------------------
@@ -229,6 +411,28 @@ def test_find_alpha_star(ce):
     model, alpha = found
     assert model == "m0"
     assert alpha.weights[0] == pytest.approx(X_EPS, abs=1e-7)
+
+
+def test_find_alpha_star_takes_first_member_in_framework_order(game06):
+    # both slices lie inside co{Bern(0.6), Bern(0.3)}, so both min-KL values
+    # are rounding noise; the choice must follow model order, not that noise
+    def framework(models, highs):
+        kernels = np.array([[[h, 1.0 - h], [0.3, 0.7]] for h in highs])
+        return Framework(models=models, actions=game06.actions_long, signals=game06.rho.signals,
+                         normal_kernels=np.stack([game06.rho.matrix] * 2),
+                         commitment_kernels=kernels, prior=np.full((2, 2), 0.25),
+                         commitment_action=Distribution(game06.actions_long, [1.0, 0.0]))
+
+    for models, highs in ((("m0", "m1"), (0.5, 0.4)), (("m1", "m0"), (0.4, 0.5))):
+        rep = separation_value(framework(models, highs), game06.rho)
+        assert list(rep.membership.values()) == [True, True]
+        model, alpha = find_alpha_star(rep)
+        assert model == models[0]
+        assert alpha.weights @ game06.rho.matrix[:, 0] == pytest.approx(highs[0], abs=1e-9)
+        # the smaller KL sits on the second model: the choice ignores it
+        noisy = SeparationReport(rep.value, rep.argmin_alpha, rep.argmin_model, rep.membership,
+                                 rep.witnesses, {models[0]: 3e-17, models[1]: 1e-17})
+        assert find_alpha_star(noisy)[0] == models[0]
 
 
 def test_find_alpha_star_none_when_separating(game06, fw06):
