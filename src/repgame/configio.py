@@ -65,7 +65,15 @@ def game_to_dict(game: StageGame) -> dict:
     }
 
 
+def _block(d, key: str) -> dict:
+    """A block of the document that must be a JSON object."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"'{key}' must be an object, got {d!r}")
+    return d
+
+
 def game_from_dict(d: dict) -> StageGame:
+    _block(d, "game")
     try:
         rho = SignalStructure(tuple(_require(d, "actions_long", "game")),
                               tuple(_require(d, "signals", "game")),
@@ -94,6 +102,7 @@ def framework_to_dict(fw: Framework) -> dict:
 
 def framework_from_dict(d: dict, actions: tuple[str, ...],
                         signals: tuple[str, ...]) -> Framework:
+    _block(d, "framework")
     correct = d.get("normal_correctly_specified", True)
     if not isinstance(correct, bool):
         raise ConfigError(
@@ -174,8 +183,7 @@ def _sim_number(d: dict, key: str, default=None, *, integer: bool = False,
 
 
 def simulation_from_dict(d: dict, actions: tuple[str, ...]) -> SimulationConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("'simulation' must be an object")
+    _block(d, "simulation")
     _require(d, "delta", "simulation")
     target = d.get("alpha_star_target")
     if target is not None:
@@ -232,11 +240,12 @@ def load_config(source) -> ExperimentConfig:
         framework = framework_from_dict(doc["framework"], game.actions_long,
                                         game.signals)
     elif "scenario" in doc:
-        sc = doc["scenario"]
+        sc = _block(doc["scenario"], "scenario")
         name = _require(sc, "name", "scenario")
+        params = _block(sc.get("params", {}), "scenario.params")
         try:
-            game, framework = build_scenario(name, sc.get("params", {}))
-        except (KeyError, ValueError) as exc:
+            game, framework = build_scenario(name, params)
+        except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(f"scenario: {exc}") from exc
     else:
         raise ConfigError(
@@ -245,9 +254,7 @@ def load_config(source) -> ExperimentConfig:
     sim = None
     if "simulation" in doc:
         sim = simulation_from_dict(doc["simulation"], game.actions_long)
-    bounds = doc.get("bounds", {})
-    if not isinstance(bounds, dict):
-        raise ConfigError("'bounds' must be an object")
+    bounds = _block(doc.get("bounds", {}), "bounds")
     unknown = sorted(set(bounds) - {"grid"})
     if unknown:
         raise ConfigError(f"'bounds' takes only 'grid', got {unknown}")

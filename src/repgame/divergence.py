@@ -9,9 +9,11 @@ can audit the other.
 
 Each route does one solve per model. The KL projection is conditional
 gradient whose exact line search is a Brent root-find on the monotone
-derivative along the step. The LP route is one phase-1 program: its optimal
-witness decides membership, and for a non-member its duals on the signal rows
-are the separating hyperplane, so no second LP is solved.
+derivative along the step (scipy's ``brentq``, imported on the first line
+search). The LP route is one phase-1 program, handed to HiGHS through
+``repgame.lp``: its optimal witness decides membership, and for a non-member
+its duals on the signal rows are the separating hyperplane, so no second LP
+is solved.
 
 All divergences are in nats.
 """
@@ -23,10 +25,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, linprog
 
 from .frameworks import Framework
 from .game import Distribution, SignalStructure, mix_signal_dist
+from .lp import LPResult, linprog
 
 __all__ = [
     "kl",
@@ -146,6 +148,7 @@ def minimize_convex_over_simplex(
             # no descent is measurable along d, and brentq needs a bracket.
             gamma = 0.0
         else:
+            from scipy.optimize import brentq  # deferred: its import outweighs most answers
             gamma = brentq(dphi, 0.0, gamma_max, xtol=_LS_XTOL, rtol=_LS_RTOL,
                            maxiter=_LS_MAXITER, disp=False)
         x = x + gamma * d
@@ -181,8 +184,12 @@ class HullMembership:
     residual: float
 
 
-def _lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+def _lp(c: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray) -> LPResult:
+    """minimize c.x subject to A_eq x = b_eq and x >= 0, A_eq dense."""
+    cols, rows = np.nonzero(A_eq.T)  # CSC order: column by column, rows ascending
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=len(c)))])
+    A = (A_eq[rows, cols], rows.astype(np.int32), indptr.astype(np.int32))
+    res = linprog(c, A, np.empty(0), b_eq, np.zeros(len(c)), np.full(len(c), np.inf))
     if res.status not in (0, 2, 3):
         raise RuntimeError(f"linear program failed: {res.message}")
     return res
@@ -215,7 +222,7 @@ def hull_membership(q: Distribution, rho: SignalStructure, *, tol: float = MEMBE
         ]
     )
     b_eq = np.concatenate([q.weights, [1.0]])
-    res = _lp(c, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None))
+    res = _lp(c, A_eq, b_eq)
     if res.status != 0:
         raise RuntimeError("hull feasibility phase-1 program should always be feasible")
     alpha = np.clip(res.x[:n_a], 0.0, None)
@@ -223,7 +230,7 @@ def hull_membership(q: Distribution, rho: SignalStructure, *, tol: float = MEMBE
     residual = float(np.abs(alpha @ R - q.weights).max())
     if residual <= tol:
         return HullMembership(True, Distribution(rho.actions, alpha), None, residual)
-    h = res.eqlin.marginals[:n_y]
+    h = res.row_duals[:n_y]
     threshold = float((R @ h).max())
     cert = SeparationCertificate(h, threshold, float(h @ q.weights) - threshold)
     return HullMembership(False, None, cert, residual)

@@ -266,7 +266,11 @@ def build_scenario(name: str, params: dict) -> tuple[StageGame, Framework]:
     kwargs = {}
     for key, default in sig:
         if key in params:
-            kwargs[key] = float(params[key])
+            try:
+                kwargs[key] = float(params[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"scenario {name!r}: parameter {key!r} must be a number, "
+                                 f"got {params[key]!r}") from None
         elif default is None:
             raise ValueError(f"scenario {name!r} needs parameter {key!r}")
         else:

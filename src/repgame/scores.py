@@ -16,12 +16,14 @@ equilibrium payoff set from above and below.
 The score program sees alpha only through supp(alpha). ``kappa`` collects the
 distinct (supp(alpha), beta) programs of its lattice in one array pass over
 ``simplex_lattice`` (an ``(N, n)`` array, capped at ``LATTICE_CAP`` points)
-and solves them in one ``linprog`` call: they share no variable, so they
-stack as the diagonal blocks of one LP whose optimum is every block's
-optimum. Each program's constraint rows are built once. If the joint LP has
-no optimum, the blocks are split in halves and solved again until each
-failing program stands alone, where infeasibility is an answer and any other
-failure raises. ``kstar`` is the same solve with one block. ``stackelberg``
+and solves them in one ``linprog`` call (``repgame.lp``, HiGHS handed the
+model directly): they share no variable, so they stack as the diagonal
+blocks of one LP whose optimum is every block's optimum. Each program's
+constraint rows are built once, as the CSC arrays HiGHS takes, and the LP
+of any run of programs is a slice of them. If the joint LP has no optimum,
+the blocks are split in halves and solved again until each failing program
+stands alone, where infeasibility is an answer and any other failure
+raises. ``kstar`` is the same solve with one block. ``stackelberg``
 is one array pass over the same lattice. Every array pass repeats the
 per-point arithmetic bit for bit: rows are normalized as ``Distribution``
 normalizes a vector, and products are stacked matrix-vector products, the
@@ -34,11 +36,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csc_matrix
 
 from .bruteforce import simplex_lattice
 from .game import Distribution, StageGame, mix_signal_dist
+from .lp import linprog
 
 __all__ = [
     "ScoreResult",
@@ -106,66 +107,61 @@ def kstar(game: StageGame, alpha: Distribution, beta: Distribution, direction: i
 
 
 @dataclass(frozen=True, eq=False)
-class _BlockRows:
-    """One constraint family (equalities or inequalities) of a list of score
-    programs, in the CSC order of the block diagonal whose p-th block holds
-    program p's rows; row_start[p] is program p's first row.
+class _ScoreRows:
+    """The constraint rows of a list of score programs, laid out as HiGHS
+    takes them: one CSC matrix whose rows are every program's inequalities,
+    then every program's equalities, and whose p-th block of columns,
+    [z, x(y_1) ... x(y_n)], is program p's.
 
-    Every block is dense: its rows are [1, -rho(.|a)] (equalities, a in the
-    support) or [-1, rho(.|a)] (inequalities, a off it), and rho has full
-    support. So the matrix of programs lo..hi-1 is a contiguous slice of the
-    arrays, equal entry for entry to ``block_diag`` of their blocks.
+    Program p has one row per long-run action a: the equality [1, -rho(.|a)]
+    for a in its support, the inequality [-1, rho(.|a)] off it. So every
+    column holds n_a entries, inequalities first, and the matrix of
+    programs lo..hi-1 is a contiguous slice of ``data``; only its row
+    numbers depend on the range. ``row[p, s]`` is the row of program p's
+    s-th entry within its family, the equalities where ``is_eq[p, s]``.
     """
 
     data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    row_start: np.ndarray
-    rhs: np.ndarray
+    row: np.ndarray
+    is_eq: np.ndarray
+    ub_start: np.ndarray
+    eq_start: np.ndarray
+    b_ub: np.ndarray
+    b_eq: np.ndarray
     n_cols: int
 
-    @classmethod
-    def build(cls, rows: np.ndarray, lead: float, R: np.ndarray, rhs: np.ndarray) -> "_BlockRows":
-        """The rows ``rows[p]`` marks for each program p: [lead, R[a]] per marked a."""
-        C = 1 + R.shape[1]  # variables of each block: [z, x(y_1) ... x(y_n)]
-        prog, act = np.nonzero(rows)
-        m = rows.sum(axis=1)
-        row_start = np.concatenate([[0], np.cumsum(m)])
-        block = np.empty((len(prog), C))
-        block[:, 0] = lead
-        block[:, 1:] = R[act]
-        # entry (row e, column c) of program p goes to C*row_start[p] + c*m[p] + (e - row_start[p])
-        e = np.arange(len(prog))
-        pos = (((C - 1) * row_start[prog] + e)[:, None] + np.arange(C) * m[prog][:, None]).ravel()
-        data = np.empty(block.size)
-        data[pos] = block.ravel()
-        indices = np.empty(block.size, dtype=np.int32)
-        indices[pos] = np.repeat(e, C)
-        indptr = np.concatenate([[0], np.cumsum(np.repeat(m, C))]).astype(np.int32)
-        return cls(data, indices, indptr, row_start, rhs, C)
-
-    def has_rows(self, lo: int, hi: int) -> bool:
-        return bool(self.row_start[hi] > self.row_start[lo])
-
-    def take(self, lo: int, hi: int) -> tuple[csc_matrix, np.ndarray]:
-        """Matrix and right-hand side of programs lo..hi-1."""
-        C = self.n_cols
-        r0, r1 = self.row_start[lo], self.row_start[hi]
-        ptr = self.indptr[lo * C:hi * C + 1]
-        A = csc_matrix((self.data[ptr[0]:ptr[-1]], self.indices[ptr[0]:ptr[-1]] - r0,
-                        ptr - ptr[0]), shape=(r1 - r0, (hi - lo) * C))
-        return A, self.rhs[r0:r1]
+    def take(self, lo: int, hi: int
+             ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+        """(data, indices, indptr) of programs lo..hi-1, and their b_ub and b_eq."""
+        C, n_a = self.n_cols, self.row.shape[1]
+        ub0, ub1 = self.ub_start[lo], self.ub_start[hi]
+        eq0, eq1 = self.eq_start[lo], self.eq_start[hi]
+        rows = np.where(self.is_eq[lo:hi], self.row[lo:hi] - eq0 + (ub1 - ub0),
+                        self.row[lo:hi] - ub0)
+        indices = np.broadcast_to(rows[:, None, :], (hi - lo, C, n_a)).astype(np.int32).ravel()
+        indptr = np.arange(0, (hi - lo) * C * n_a + 1, n_a, dtype=np.int32)
+        data = self.data[lo * C * n_a:hi * C * n_a]
+        return (data, indices, indptr), self.b_ub[ub0:ub1], self.b_eq[eq0:eq1]
 
 
-def _score_rows(game: StageGame, programs: list[tuple[np.ndarray, np.ndarray]]
-                ) -> tuple[_BlockRows, _BlockRows]:
-    """Equality and inequality rows of (support mask, beta weights) programs."""
+def _score_rows(game: StageGame, programs: list[tuple[np.ndarray, np.ndarray]]) -> _ScoreRows:
+    """Constraint rows of (support mask, beta weights) programs."""
     R = game.rho.matrix
+    n_a = R.shape[0]
     supp = np.array([supp for supp, _ in programs])
     betas = np.array([beta_w for _, beta_w in programs])
     u_beta = (game.u @ betas[:, :, None])[:, :, 0]  # u @ beta_w, program by program
-    return (_BlockRows.build(supp, 1.0, -R, u_beta[supp]),
-            _BlockRows.build(~supp, -1.0, R, -u_beta[~supp]))
+    order = np.argsort(supp, axis=1, kind="stable")  # actions off the support first
+    is_eq = np.take_along_axis(supp, order, axis=1)
+    n_ub = n_a - supp.sum(axis=1)
+    ub_start = np.concatenate([[0], np.cumsum(n_ub)])
+    eq_start = np.concatenate([[0], np.cumsum(n_a - n_ub)])
+    slot = np.arange(n_a)
+    row = np.where(is_eq, eq_start[:-1, None] + slot - n_ub[:, None], ub_start[:-1, None] + slot)
+    sign = np.where(is_eq, 1.0, -1.0)[:, :, None]
+    block = np.concatenate([sign, sign * -R[order]], axis=2)  # (program, entry, column)
+    return _ScoreRows(block.transpose(0, 2, 1).ravel(), row, is_eq, ub_start, eq_start,
+                      -u_beta[~supp], u_beta[supp], 1 + R.shape[1])
 
 
 def _solve_scores(game: StageGame, programs: list[tuple[np.ndarray, np.ndarray]],
@@ -178,30 +174,27 @@ def _solve_scores(game: StageGame, programs: list[tuple[np.ndarray, np.ndarray]]
     stands alone: alone, infeasibility is an answer and any other failure
     raises. Each program's rows are built once, whatever the halving.
     """
-    eq, ub = _score_rows(game, programs)
-    return _solve_range(eq, ub, 0, len(programs), direction)
+    return _solve_range(_score_rows(game, programs), 0, len(programs), direction)
 
 
-def _solve_range(eq: _BlockRows, ub: _BlockRows, lo: int, hi: int,
-                 direction: int) -> list[ScoreResult]:
+def _solve_range(rows: _ScoreRows, lo: int, hi: int, direction: int) -> list[ScoreResult]:
     """Score programs lo..hi-1 in one LP, halving on failure."""
-    A_eq, b_eq = eq.take(lo, hi)
-    A_ub, b_ub = ub.take(lo, hi) if ub.has_rows(lo, hi) else (None, None)
-    n_cols = eq.n_cols
-    block_bounds = np.array([(-np.inf, np.inf)]
-                            + [(-np.inf, 0.0) if direction == +1 else (0.0, np.inf)]
-                            * (n_cols - 1))
+    A, b_ub, b_eq = rows.take(lo, hi)
+    n_cols = rows.n_cols
     c = np.zeros(n_cols)
     c[0] = -float(direction)
-    res = linprog(np.tile(c, hi - lo), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=np.tile(block_bounds, (hi - lo, 1)), method="highs")
+    lb = np.full(n_cols, -np.inf)
+    ub = np.full(n_cols, np.inf)
+    (ub if direction == +1 else lb)[1:] = 0.0  # the offsets' half-space
+    k = hi - lo
+    res = linprog(np.tile(c, k), A, b_ub, b_eq, np.tile(lb, k), np.tile(ub, k))
     if res.status == 0:
         return [ScoreResult(True, float(x[0]), x[1:].copy(), direction)
-                for x in res.x.reshape(hi - lo, n_cols)]
-    if hi - lo > 1:
-        half = lo + (hi - lo) // 2
-        return (_solve_range(eq, ub, lo, half, direction)
-                + _solve_range(eq, ub, half, hi, direction))
+                for x in res.x.reshape(k, n_cols)]
+    if k > 1:
+        half = lo + k // 2
+        return (_solve_range(rows, lo, half, direction)
+                + _solve_range(rows, half, hi, direction))
     if res.status == 2:
         return [ScoreResult(False, None, None, direction)]
     if res.status == 3:

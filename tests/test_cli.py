@@ -305,6 +305,33 @@ def test_bad_simulation_value_is_a_config_error(capsys, tmp_path, block, key, va
     assert "Traceback" not in err
 
 
+def _explicit_doc():
+    doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
+    del doc["scenario"]
+    return doc
+
+
+@pytest.mark.parametrize("doc, block", [
+    ({"scenario": 3}, "'scenario'"),
+    ({"scenario": {"name": "product_choice", "params": 3}}, "'scenario.params'"),
+    ({"scenario": {"name": "product_choice",
+                   "params": {"p": None, "q": 0.3, "epsilon": 0.15}}},
+     "scenario: scenario 'product_choice': parameter 'p'"),
+    ({**_explicit_doc(), "framework": 3}, "'framework'"),
+    ({**_explicit_doc(), "game": 3}, "'game'"),
+    ({**_explicit_doc(), "bounds": [0.1]}, "'bounds'"),
+])
+@pytest.mark.parametrize("command", ["bounds", "check-separation"])
+def test_malformed_block_is_a_config_error(capsys, tmp_path, doc, block, command):
+    path = tmp_path / "cfg.json"
+    dump_document(doc, path)
+    code, out, err = run(capsys, command, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: {block}")
+    assert "Traceback" not in err
+
+
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "bounds", "--config", "/nonexistent/cfg.json")
     assert code == 2

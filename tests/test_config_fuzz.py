@@ -1,0 +1,87 @@
+"""Mutation fuzz of the exit-code contract: any config document gives exit 0
+or 2, never a traceback.
+
+Valid ``scenario``, ``game``/``framework`` and ``simulation`` documents are
+mutated (keys dropped; values set to wrong types, null, NaN/inf and
+out-of-range numbers) and answered in-process by ``bounds``/``stackelberg``
+at grid 0.1, ``check-separation`` and a tiny ``simulate``. The seed and
+example counts are fixed, so the run is the same every time.
+"""
+
+import copy
+import json
+import warnings
+
+import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
+
+from repgame.cli import main
+from repgame.configio import emit_scenario_document
+
+SCENARIO = {"scenario": {"name": "product_choice",
+                         "params": {"p": 0.6, "q": 0.3, "epsilon": 0.15}}}
+EXPLICIT = {k: v for k, v in emit_scenario_document(
+    "counter_example", {"p": 0.6, "q": 0.3, "epsilon": 0.05, "x": 0.55}).items()
+    if k != "scenario"}
+SIMULATION = {"delta": 0.9, "runs": 3, "horizon": 8, "master_seed": 11,
+              "true_type": "normal", "normal_strategy": [0.0, 1.0],
+              "truncation_tol": 1e-4, "alpha_star_target": [0.5, 0.5]}
+BAD_VALUES = [None, float("nan"), float("inf"), float("-inf"), -1, 0, 0.5, 1, 2,
+              -0.5, 1e300, -1e300, 10**12, "x", "", True, False, [], {}, [1.0],
+              [[0.5, 0.5]], {"a": 1}]
+COMMANDS = {
+    "bounds": ["bounds", "--grid", "0.1"],
+    "stackelberg": ["stackelberg", "--grid", "0.1"],
+    "check-separation": ["check-separation"],
+    "simulate": ["simulate"],
+}
+
+
+def _paths(node, prefix=()):
+    """Every (container, key) location in a JSON document, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(doc, data):
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths), label="path")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans(), label="drop"):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(BAD_VALUES), label="value"))
+    return doc
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("base", ["scenario", "explicit"])
+@seed(20261018)
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_document_exits_0_or_2(capsys, tmp_path, command, base, data):
+    doc = copy.deepcopy(SCENARIO if base == "scenario" else EXPLICIT)
+    if command == "simulate":
+        doc["simulation"] = copy.deepcopy(SIMULATION)
+    doc = _mutate(doc, data)
+    argv = list(COMMANDS[command])
+    argv[1:1] = ["--config", json.dumps(doc)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numerical notes on odd documents are allowed
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2), (code, err)
+    if code == 2:
+        assert err.startswith("config error")

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.sparse import block_diag
+from scipy.sparse import block_diag, vstack
 
 import repgame.scores
 from repgame.bruteforce import simplex_lattice
@@ -419,7 +419,8 @@ def test_stackelberg_matches_per_point_loop(make, grid, pure):
 
 
 def test_score_blocks_match_block_diag(monkeypatch):
-    # every batch and half-batch matrix equals block_diag of the per-program blocks
+    # every batch and half-batch matrix equals [block_diag of the inequality
+    # blocks; block_diag of the equality blocks], the matrix linprog stacks
     game = _mixed_feasibility_game()
     batches = _record_batches(monkeypatch)
     with warnings.catch_warnings():
@@ -427,25 +428,22 @@ def test_score_blocks_match_block_diag(monkeypatch):
         kappa(game, -1, 0.0, 0.1)
     (programs, _, _), = batches
     R = game.rho.matrix
-    eq, ub = repgame.scores._score_rows(game, programs)
+    rows = repgame.scores._score_rows(game, programs)
     n = len(programs)
     for lo, hi in [(0, n), (0, n // 2), (n // 2, n), (n // 4, n // 4 + 1), (5, 37)]:
         u_beta = [game.u @ beta_w for _, beta_w in programs[lo:hi]]
         supps = [supp for supp, _ in programs[lo:hi]]
-        want = {
-            "eq": ([np.hstack([np.ones((int(s.sum()), 1)), -R[s]]) for s in supps],
-                   [u[s] for u, s in zip(u_beta, supps)]),
-            "ub": ([np.hstack([-np.ones((int((~s).sum()), 1)), R[~s]]) for s in supps],
-                   [-u[~s] for u, s in zip(u_beta, supps)]),
-        }
-        for family, (blocks, rhs) in zip((eq, ub), want.values()):
-            got, got_rhs = family.take(lo, hi)
-            ref = block_diag(blocks, format="csc")
-            assert got.shape == ref.shape
-            for attr in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
-                assert getattr(got, attr).dtype == getattr(ref, attr).dtype, attr
-            assert got_rhs.tobytes() == np.concatenate(rhs).tobytes()
+        eq_blocks = [np.hstack([np.ones((int(s.sum()), 1)), -R[s]]) for s in supps]
+        ub_blocks = [np.hstack([-np.ones((int((~s).sum()), 1)), R[~s]]) for s in supps]
+        ref = vstack((block_diag(ub_blocks), block_diag(eq_blocks)), format="csc")
+        (data, indices, indptr), b_ub, b_eq = rows.take(lo, hi)
+        assert len(indptr) == ref.shape[1] + 1 and len(b_ub) + len(b_eq) == ref.shape[0]
+        for got, attr in zip((data, indices, indptr), ("data", "indices", "indptr")):
+            assert np.array_equal(got, getattr(ref, attr)), attr
+            assert got.dtype == getattr(ref, attr).dtype, attr
+        assert data.tobytes() == ref.data.tobytes()
+        assert b_ub.tobytes() == np.concatenate([-u[~s] for u, s in zip(u_beta, supps)]).tobytes()
+        assert b_eq.tobytes() == np.concatenate([u[s] for u, s in zip(u_beta, supps)]).tobytes()
 
 
 def test_stackelberg_and_bounds_speed_on_three_actions():
