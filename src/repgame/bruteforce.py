@@ -2,17 +2,18 @@
 
 These enumerate mixed actions on a regular simplex lattice and take plain
 minima. They exist to audit the conditional-gradient projections and the
-closed-form distances, and they call into nothing but raw array math. The
-lattice itself, ``simplex_lattice``, is shared: the score programs and the
-Stackelberg search in ``scores`` walk it too. It is one ``(N, n)`` array, so
+closed-form distances, and they call into nothing but raw array math. One
+generator walks the lattice, as weight columns in chunks of whole runs.
+``simplex_lattice`` takes it as one chunk: an ``(N, n)`` array that the score
+programs and the Stackelberg search in ``scores`` walk too, so
 ``LATTICE_CAP`` bounds its size: a finer lattice is a ``LatticeCapError`` (a
-``ValueError``), not a ``MemoryError``. The two- and three-action oracles do
-not use it: they scan lattices of their own, the three-action one in chunks
-that fit in cache.
+``ValueError``), not a ``MemoryError``. The oracles stream it in chunks that
+fit in cache, so no cap bounds them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import comb
 
 import numpy as np
@@ -56,23 +57,42 @@ def check_lattice(n: int, resolution: float) -> int:
     return k
 
 
-def _lattice_counts(n: int, k: int) -> np.ndarray:
-    """Rows of n nonnegative integers summing to k, first count descending,
-    then the second, and so on (the order of
-    ``itertools.combinations_with_replacement(range(n), k)``)."""
+def _extend(cols: list[np.ndarray], rest: list[int], up: np.ndarray,
+            down: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each row of ``cols`` (one column per action so far, ``rest`` of the k
+    steps left) followed by each next count j = 0..rest in order: the columns
+    with j read off ``up`` (for 0..k), and rest - j read off ``down`` (for
+    k..0)."""
+    reps = [r + 1 for r in rest]
+    return ([np.repeat(c, reps) for c in cols] + [np.concatenate([up[:r] for r in reps])],
+            np.concatenate([down[-r:] for r in reps]))
+
+
+def _lattice_chunks(n: int, k: int, chunk: int) -> Iterator[list[np.ndarray]]:
+    """The n-action, k-step lattice as lists of n weight columns, counts
+    ascending (the first, then the second, and so on). A run is the points
+    that share every count but the last two; each chunk holds whole runs,
+    at most ``chunk`` points unless it is one longer run."""
+    t = np.arange(k + 1) / k
     if n == 1:
-        return np.array([[k]])
-    # Rows of `parts` counts for every sum 0..k, grouped by sum ascending: the
-    # rows summing to m are then a prefix, and prefixing m - (its sum) to each
-    # row of that prefix lists the rows of one more part summing to m in order.
-    counts = np.arange(k + 1)[:, None]
-    for parts in range(2, n + 1):
-        total = counts.sum(axis=1)
-        ends = np.searchsorted(total, np.arange(k + 1), side="right")
-        sums = [k] if parts == n else range(k + 1)
-        counts = np.concatenate([np.hstack([(m - total[:ends[m]])[:, None], counts[:ends[m]]])
-                                 for m in sums])
-    return counts
+        yield [t[[k]]]
+        return
+    # The runs: weights of all but the last two actions, and the steps left.
+    counts_down = np.arange(k, -1, -1)
+    cols, rest = [], [k]
+    for _ in range(n - 2):
+        cols, rest = _extend(cols, rest, t, counts_down)
+        rest = rest.tolist()
+    cuts, size = [0], 0
+    for i, r in enumerate(rest):
+        if size and size + r + 1 > chunk:
+            cuts.append(i)
+            size = 0
+        size += r + 1
+    cuts.append(len(rest))
+    for lo, hi in zip(cuts, cuts[1:]):
+        head, last = _extend([c[lo:hi] for c in cols], rest[lo:hi], t, t[::-1])
+        yield head + [last]
 
 
 def simplex_lattice(n: int, resolution: float) -> np.ndarray:
@@ -85,45 +105,28 @@ def simplex_lattice(n: int, resolution: float) -> np.ndarray:
     and so on. ValueError above ``LATTICE_CAP`` points.
     """
     k = check_lattice(n, resolution)
-    counts = _lattice_counts(n, k)
-    return (counts[::-1] if n == 2 else counts) / k
+    cols = next(_lattice_chunks(n, k, LATTICE_CAP))
+    return np.column_stack(cols if n <= 2 else [c[::-1] for c in cols])
 
 
-def _scan_pairs_2(R0: np.ndarray, R1: np.ndarray, k: int, kl_of_mix) -> tuple[float, np.ndarray]:
-    t = np.arange(k + 1) / k
-    mix = t[:, None] * R0 + (1.0 - t)[:, None] * R1
-    vals = kl_of_mix(mix)
-    i = int(np.argmin(vals))
-    return float(vals[i]), np.array([t[i], 1.0 - t[i]])
-
-
-def _scan_triangle(k: int, kl_chunk) -> tuple[float, np.ndarray]:
-    """Minimize over the full 2-simplex lattice, streamed in cache-sized chunks."""
-    t = np.arange(k + 1) / k
-    best = np.inf
-    best_alpha = np.array([1.0, 0.0, 0.0])
-    a1 = np.empty(_CHUNK)
-    a2 = np.empty(_CHUNK)
-    row, col = 0, 0
-    while row <= k:
-        n = 0
-        while n < _CHUNK and row <= k:
-            take = min(_CHUNK - n, (k + 1 - row) - col)
-            a1[n:n + take] = t[row]
-            a2[n:n + take] = t[col:col + take]
-            n += take
-            col += take
-            if col >= k + 1 - row:
-                row += 1
-                col = 0
-        A1, A2 = a1[:n], a2[:n]
-        A3 = 1.0 - A1 - A2
-        vals = kl_chunk(A1, A2, A3)
+def _scan(n: int, k: int, objective) -> tuple[float, np.ndarray]:
+    """The first minimizer of ``objective`` (weight columns -> values) over
+    the lattice, streamed in cache-sized chunks."""
+    best, best_alpha = None, None
+    for cols in _lattice_chunks(n, k, _CHUNK):
+        vals = objective(cols)
         i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            best_alpha = np.array([A1[i], A2[i], A3[i]])
+        if best is None or vals[i] < best:
+            best, best_alpha = float(vals[i]), np.array([c[i] for c in cols])
     return best, best_alpha
+
+
+def _dot(alpha: list[np.ndarray], w: np.ndarray) -> np.ndarray:
+    """sum_a alpha_a w_a over weight columns, accumulated in action order."""
+    acc = alpha[0] * w[0]
+    for a in range(1, len(alpha)):
+        acc += alpha[a] * w[a]
+    return acc
 
 
 def _log_or_zero(m: np.ndarray) -> np.ndarray:
@@ -136,71 +139,34 @@ def grid_min_kl_forward(q: np.ndarray, R: np.ndarray, resolution: float) -> tupl
     """Brute-force min over lattice alpha of D(sum_a alpha(a) R[a] || q)."""
     q = np.asarray(q, dtype=float)
     R = np.asarray(R, dtype=float)
-    k = round(1.0 / resolution)
-    log_q = np.log(q)
-    cross = R @ log_q  # sum_y R[a, y] log q(y), linear in alpha
+    k = lattice_steps(resolution)
+    cross = R @ np.log(q)  # sum_y R[a, y] log q(y), linear in alpha
     # A signal that no action sends has mixture mass 0 everywhere, and 0 log 0
     # counts as 0; full-support R skips the mask and keeps its bits.
     log_m = np.log if np.all(R > 0.0) else _log_or_zero
 
-    if R.shape[0] == 2:
-        def kl_of_mix(mix):
-            return np.einsum("ij,ij->i", mix, log_m(mix)) - mix @ log_q
-        return _scan_pairs_2(R[0], R[1], k, kl_of_mix)
-
-    if R.shape[0] == 3:
-        def kl_chunk(A1, A2, A3):
-            acc = None
-            for y in range(R.shape[1]):
-                m = A1 * R[0, y] + A2 * R[1, y] + A3 * R[2, y]
-                term = m * log_m(m)
-                acc = term if acc is None else acc + term
-            acc -= A1 * cross[0] + A2 * cross[1] + A3 * cross[2]
-            return acc
-        return _scan_triangle(k, kl_chunk)
-
-    best = np.inf
-    best_alpha = None
-    for alpha in simplex_lattice(R.shape[0], resolution):
-        m = alpha @ R
-        mask = m > 0.0
-        v = float(np.sum(m[mask] * np.log(m[mask]))) - float(m @ log_q)
-        if v < best:
-            best, best_alpha = v, alpha.copy()
-    return best, best_alpha
+    def objective(alpha):
+        acc = 0.0
+        for y in range(R.shape[1]):
+            m = _dot(alpha, R[:, y])
+            acc = acc + m * log_m(m)
+        return acc - _dot(alpha, cross)
+    return _scan(R.shape[0], k, objective)
 
 
 def grid_min_kl_reverse(p: np.ndarray, F: np.ndarray, resolution: float) -> tuple[float, np.ndarray]:
     """Brute-force min over lattice alpha of D(p || sum_a alpha(a) F[a])."""
     p = np.asarray(p, dtype=float)
     F = np.asarray(F, dtype=float)
-    k = round(1.0 / resolution)
+    k = lattice_steps(resolution)
     mask = p > 0.0
     pm = p[mask]
     ent = float(pm @ np.log(pm))
     Fm = F[:, mask]
 
-    if F.shape[0] == 2:
-        t = np.arange(k + 1) / k
-        mix = t[:, None] * Fm[0] + (1.0 - t)[:, None] * Fm[1]
-        vals = ent - np.log(mix) @ pm
-        i = int(np.argmin(vals))
-        return float(vals[i]), np.array([t[i], 1.0 - t[i]])
-
-    if F.shape[0] == 3:
-        def kl_chunk(A1, A2, A3):
-            acc = None
-            for j in range(Fm.shape[1]):
-                m = A1 * Fm[0, j] + A2 * Fm[1, j] + A3 * Fm[2, j]
-                term = np.log(m) * (-pm[j])
-                acc = term if acc is None else acc + term
-            return acc + ent
-        return _scan_triangle(k, kl_chunk)
-
-    best = np.inf
-    best_alpha = None
-    for alpha in simplex_lattice(F.shape[0], resolution):
-        v = ent - float(pm @ np.log(alpha @ Fm))
-        if v < best:
-            best, best_alpha = v, alpha.copy()
-    return best, best_alpha
+    def objective(alpha):
+        acc = 0.0
+        for j in range(Fm.shape[1]):
+            acc = acc + np.log(_dot(alpha, Fm[:, j])) * (-pm[j])
+        return acc + ent
+    return _scan(F.shape[0], k, objective)

@@ -251,7 +251,7 @@ def test_lattice_above_cap_is_a_config_error(capsys, monkeypatch, tmp_path, comm
     fw["commitment_action"].append(0.0)
     path = tmp_path / "cfg.json"
     dump_document(doc, path)
-    monkeypatch.setattr(repgame.bruteforce, "_lattice_counts", None)
+    monkeypatch.setattr(repgame.bruteforce, "_lattice_chunks", None)
     code, _, err = run(capsys, command, "--config", str(path), "--grid", "1e-4")
     assert code == 2
     assert "50,015,001 points" in err
