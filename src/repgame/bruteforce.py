@@ -1,14 +1,15 @@
 """Dense-grid oracles, deliberately independent of the convex solvers.
 
-These enumerate mixed actions on a regular simplex lattice and take plain
-minima. They exist to audit the conditional-gradient projections and the
+These take exact minima over the mixed actions of a regular simplex lattice.
+They exist to audit the conditional-gradient projections and the
 closed-form distances, and they call into nothing but raw array math. One
 generator walks the lattice, as weight columns in chunks of whole runs.
 ``simplex_lattice`` takes it as one chunk: an ``(N, n)`` array that the score
 programs and the Stackelberg search in ``scores`` walk too, so
 ``LATTICE_CAP`` bounds its size: a finer lattice is a ``LatticeCapError`` (a
-``ValueError``), not a ``MemoryError``. The oracles stream it in chunks that
-fit in cache, so no cap bounds them.
+``ValueError``), not a ``MemoryError``. The oracles need no cap: their
+objectives are convex along each run, so they bisect every run for its first
+minimizer and evaluate O(runs * log k) points, not the whole lattice.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ __all__ = ["LATTICE_CAP", "LatticeCapError", "check_lattice", "grid_min_kl_forwa
 
 LATTICE_CAP = 2**21  # most points simplex_lattice builds (2,097,152)
 
-_CHUNK = 16_384  # points per streamed chunk: the chunk's temporaries fit in L2
+# Runs bisected at once, read as chunks of the (n - 1)-action lattice. That
+# lattice keeps each of its own runs whole, so three actions bisect all k + 1
+# runs at once; a step evaluates at most twice as many points as it bisects.
+_CHUNK = 16_384
 
 
 def lattice_steps(resolution: float) -> int:
@@ -73,10 +77,10 @@ def _lattice_chunks(n: int, k: int, chunk: int) -> Iterator[list[np.ndarray]]:
     ascending (the first, then the second, and so on). A run is the points
     that share every count but the last two; each chunk holds whole runs,
     at most ``chunk`` points unless it is one longer run."""
-    t = np.arange(k + 1) / k
     if n == 1:
-        yield [t[[k]]]
+        yield [np.ones(1)]
         return
+    t = np.arange(k + 1) / k
     # The runs: weights of all but the last two actions, and the steps left.
     counts_down = np.arange(k, -1, -1)
     cols, rest = [], [k]
@@ -111,13 +115,36 @@ def simplex_lattice(n: int, resolution: float) -> np.ndarray:
 
 def _scan(n: int, k: int, objective) -> tuple[float, np.ndarray]:
     """The first minimizer of ``objective`` (weight columns -> values) over
-    the lattice, streamed in cache-sized chunks."""
+    the lattice, in lattice order, for an objective convex along every run.
+
+    A run's points share every count but the last two, so along it the weights
+    move on a line. Each run's first minimizer is the first step j with
+    g(j) <= g(j + 1), which a bisection finds in log2(k) pairs of points; all
+    runs of a chunk bisect at once. The runs stream from the (n - 1)-action
+    lattice, whose last weight is the share left for the last two actions.
+    """
+    if n == 1:
+        return float(objective([np.ones(1)])[0]), np.ones(1)
     best, best_alpha = None, None
-    for cols in _lattice_chunks(n, k, _CHUNK):
-        vals = objective(cols)
+    for cols in _lattice_chunks(n - 1, k, _CHUNK):
+        head, rest = cols[:-1], np.rint(cols[-1] * k).astype(np.intp)
+
+        def at(runs, j):
+            return objective([c[runs] for c in head] + [j / k, (rest[runs] - j) / k])
+        lo, hi = np.zeros_like(rest), rest.copy()
+        runs = np.flatnonzero(lo < hi)
+        while runs.size:
+            mid = (lo[runs] + hi[runs]) // 2
+            vals = at(np.concatenate([runs, runs]), np.concatenate([mid, mid + 1]))
+            down = vals[runs.size:] < vals[:runs.size]
+            lo[runs[down]] = mid[down] + 1
+            hi[runs[~down]] = mid[~down]
+            runs = runs[lo[runs] < hi[runs]]
+        vals = at(np.arange(rest.size), lo)
         i = int(np.argmin(vals))
         if best is None or vals[i] < best:
-            best, best_alpha = float(vals[i]), np.array([c[i] for c in cols])
+            best = float(vals[i])
+            best_alpha = np.array([c[i] for c in head] + [lo[i] / k, (rest[i] - lo[i]) / k])
     return best, best_alpha
 
 
@@ -136,9 +163,11 @@ def _log_or_zero(m: np.ndarray) -> np.ndarray:
 
 
 def grid_min_kl_forward(q: np.ndarray, R: np.ndarray, resolution: float) -> tuple[float, np.ndarray]:
-    """Brute-force min over lattice alpha of D(sum_a alpha(a) R[a] || q)."""
+    """Min over lattice alpha of D(sum_a alpha(a) R[a] || q); q must have full support."""
     q = np.asarray(q, dtype=float)
     R = np.asarray(R, dtype=float)
+    if not np.all(q > 0.0):
+        raise ValueError("grid_min_kl_forward: q must have full support")
     k = lattice_steps(resolution)
     cross = R @ np.log(q)  # sum_y R[a, y] log q(y), linear in alpha
     # A signal that no action sends has mixture mass 0 everywhere, and 0 log 0
@@ -155,7 +184,7 @@ def grid_min_kl_forward(q: np.ndarray, R: np.ndarray, resolution: float) -> tupl
 
 
 def grid_min_kl_reverse(p: np.ndarray, F: np.ndarray, resolution: float) -> tuple[float, np.ndarray]:
-    """Brute-force min over lattice alpha of D(p || sum_a alpha(a) F[a])."""
+    """Min over lattice alpha of D(p || sum_a alpha(a) F[a])."""
     p = np.asarray(p, dtype=float)
     F = np.asarray(F, dtype=float)
     k = lattice_steps(resolution)

@@ -170,12 +170,13 @@ def suite_hull_vs_kl(n_cases: int = 500) -> list[CheckResult]:
         if rng.random() < 0.5:
             alpha = rng.dirichlet(np.ones(n_act))
             q = Distribution(signals, alpha @ rho.matrix)  # exact hull point
+            proj = min_kl_over_attainable(q, rho)
         else:
             while True:
                 q = Distribution(signals, _random_simplex(rng, 3, 0.05))
-                if min_kl_over_attainable(q, rho).value >= 2e-5:
+                proj = min_kl_over_attainable(q, rho)
+                if proj.value >= 2e-5:
                     break
-        proj = min_kl_over_attainable(q, rho)
         member = hull_membership(q, rho).member
         if member == (proj.value < 1e-7):
             agree += 1

@@ -82,19 +82,11 @@ def test_grid_min_kl_forward_zero_entry_example():
     assert np.allclose(alpha, [0.33, 0.5, 0.17], rtol=0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n, resolution", [(2, 1e-2), (2, 2e-3), (3, 1e-2), (3, 2e-3),
-                                           (4, 1e-2), (4, 0.05)])
-def test_chunk_size_does_not_change_the_oracles(monkeypatch, n, resolution):
-    rng = np.random.default_rng(7)
-    R = rng.dirichlet(np.ones(4) * 2.0, size=n) * 0.9 + 0.1 / 4
-    q = rng.dirichlet(np.ones(4)) * 0.9 + 0.1 / 4
-    want = [grid_min_kl_forward(q, R, resolution), grid_min_kl_reverse(q, R, resolution)]
-    for chunk in (7, 1000):
-        monkeypatch.setattr(repgame.bruteforce, "_CHUNK", chunk)
-        got = [grid_min_kl_forward(q, R, resolution), grid_min_kl_reverse(q, R, resolution)]
-        for (v, a), (v_ref, a_ref) in zip(got, want):
-            assert v == v_ref
-            assert np.array_equal(a, a_ref)
+def test_grid_min_kl_forward_needs_full_support_q():
+    # 0 log 0 in R @ log q would make the objective NaN
+    R = np.array([[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+    with pytest.raises(ValueError, match="q must have full support"):
+        grid_min_kl_forward(np.array([0.5, 0.5, 0.0]), R, 1e-2)
 
 
 @pytest.mark.parametrize("oracle", [grid_min_kl_forward, grid_min_kl_reverse])
@@ -128,6 +120,35 @@ def test_forward_oracle_weights_stay_on_the_fine_lattice():
     # beyond LATTICE_CAP, so no simplex_lattice to compare rows with
     _, alpha = grid_min_kl_forward(np.array([0.2, 0.5, 0.3]), np.array(R_SLOW), 1e-4)
     assert alpha.tolist() == [0.9445, 0.0555, 0.0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_scan_keeps_the_first_minimizer_in_lattice_order(monkeypatch, n):
+    # convex along every run and flat, at exactly 0.2, for weights 0.3-0.7 of
+    # the next to last action: every run of three or more steps ties, and
+    # the first point in lattice order is the first run's step 3
+    monkeypatch.setattr(repgame.bruteforce, "_CHUNK", 3)
+    value, alpha = repgame.bruteforce._scan(
+        n, 10, lambda cols: np.maximum(np.abs(cols[-2] - 0.5), 0.2))
+    assert value == 0.2
+    assert alpha.tolist() == [0.0] * (n - 2) + [0.3, 0.7]
+
+
+@pytest.mark.parametrize("oracle", [grid_min_kl_forward, grid_min_kl_reverse])
+def test_oracles_evaluate_few_lattice_points(monkeypatch, oracle):
+    # the three-action lattice at 1e-4 has 50,015,001 points; bisecting its
+    # 10,001 runs evaluates fewer than 300,000
+    evaluated = []
+    scan = repgame.bruteforce._scan
+
+    def counting_scan(n, k, objective):
+        def counted(cols):
+            evaluated.append(cols[0].size)
+            return objective(cols)
+        return scan(n, k, counted)
+    monkeypatch.setattr(repgame.bruteforce, "_scan", counting_scan)
+    oracle(np.array([0.2, 0.5, 0.3]), np.array(R_SLOW), 1e-4)
+    assert 0 < sum(evaluated) <= 300_000
 
 
 # The dense-grid oracles as they stood before the one-generator lattice: a
@@ -263,6 +284,75 @@ def _oracle_cases(count):
         if case % 7 == 0:
             R[1] = R[0]
         yield n, resolution[n], q, R, p
+
+
+def _exhaustive_oracle(monkeypatch, oracle, target, R, resolution):
+    """``oracle`` with its scan swapped for one that evaluates every lattice
+    point, as the oracles did before they bisected the runs (test-only
+    reference). Returns its minimum, its argmin and the objective it scanned."""
+    objectives = []
+
+    def exhaustive_scan(n, k, objective):
+        objectives.append(objective)
+        best, best_alpha = None, None
+        for cols in repgame.bruteforce._lattice_chunks(n, k, 16_384):
+            vals = objective(cols)
+            i = int(np.argmin(vals))
+            if best is None or vals[i] < best:
+                best, best_alpha = float(vals[i]), np.array([c[i] for c in cols])
+        return best, best_alpha
+    with monkeypatch.context() as patch:
+        patch.setattr(repgame.bruteforce, "_scan", exhaustive_scan)
+        value, alpha = oracle(target, R, resolution)
+    return value, alpha, objectives[0]
+
+
+def _bisection_cases():
+    """(n, resolution, q, R, p) on which bisecting the runs is hardest: the
+    seeded oracle cases, nearly parallel rows and a row nearly between two
+    others (narrow valleys), equal last two rows (flat runs), a reverse F
+    whose zero entries make a run's endpoint inf, and one to five actions."""
+    yield from _oracle_cases(330)
+    rng = np.random.default_rng(11)
+    resolution = {1: 0.5, 2: 1e-3, 3: 2e-3, 4: 0.05, 5: 0.1}
+    for n in range(1, 6):
+        for m in (2, 3, 4):
+            R = rng.dirichlet(np.ones(m), size=n)
+            q = rng.dirichlet(np.ones(m)) * 0.98 + 0.02 / m
+            p = rng.dirichlet(np.ones(m))
+            yield n, resolution[n], q, R, p
+            if n < 2:
+                continue
+            near = R.copy()
+            near[-1] = (1.0 - 1e-6) * near[-2] + 1e-6 * rng.dirichlet(np.ones(m))
+            yield n, resolution[n], q, near, p
+            oblique = R.copy()
+            oblique[-1] = 0.5 * (oblique[0] + oblique[-2]) + 1e-7 * (oblique[0] - oblique[-2])
+            yield n, resolution[n], oblique[-1], oblique, oblique[-1]
+            flat = R.copy()
+            flat[-1] = flat[-2]
+            yield n, resolution[n], q, flat, p
+            gaps = R.copy()
+            gaps[-1, 0] = 0.0
+            gaps[:-1, 0] = np.maximum(gaps[:-1, 0], 0.1)
+            gaps[0, 1 % m] = 0.0
+            gaps /= gaps.sum(axis=1, keepdims=True)
+            yield n, resolution[n], q, gaps, np.full(m, 1.0 / m)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in log:RuntimeWarning")
+def test_bisection_matches_the_exhaustive_scan(monkeypatch):
+    for n, resolution, q, R, p in _bisection_cases():
+        for oracle, target in [(grid_min_kl_forward, q), (grid_min_kl_reverse, p)]:
+            value, alpha = oracle(target, R, resolution)
+            ref_value, ref_alpha, objective = _exhaustive_oracle(
+                monkeypatch, oracle, target, R, resolution)
+            assert np.isfinite(ref_value)
+            assert abs(value - ref_value) <= 1e-15
+            if not np.array_equal(alpha, ref_alpha):
+                # a near-tie: the argmin is a minimizer of the reference too
+                at_alpha = float(objective([np.array([a]) for a in alpha])[0])
+                assert abs(at_alpha - ref_value) <= 1e-15
 
 
 def test_oracles_match_the_reference_scans():
