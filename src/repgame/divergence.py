@@ -9,17 +9,19 @@ can audit the other.
 
 Each route does one solve per model. The KL projection is conditional
 gradient whose exact line search is a Brent root-find on the monotone
-derivative along the step (scipy's ``brentq``, imported on the first line
-search). The LP route is one phase-1 program, handed to HiGHS through
-``repgame.lp``: its optimal witness decides membership, and for a non-member
-its duals on the signal rows are the separating hyperplane, so no second LP
-is solved.
+derivative along the step (``_brentq``, scipy's C ``brentq`` ported line
+for line: scipy stays a dependency for its HiGHS binary, and the
+``scipy.optimize`` package is never imported). The LP route is one phase-1
+program, handed to HiGHS through ``repgame.lp``: its optimal witness decides
+membership, and for a non-member its duals on the signal rows are the
+separating hyperplane, so no second LP is solved.
 
 All divergences are in nats.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
@@ -148,9 +150,7 @@ def minimize_convex_over_simplex(
             # no descent is measurable along d, and brentq needs a bracket.
             gamma = 0.0
         else:
-            from scipy.optimize import brentq  # deferred: its import outweighs most answers
-            gamma = brentq(dphi, 0.0, gamma_max, xtol=_LS_XTOL, rtol=_LS_RTOL,
-                           maxiter=_LS_MAXITER, disp=False)
+            gamma = _brentq(dphi, 0.0, gamma_max, _LS_XTOL, _LS_RTOL, _LS_MAXITER)
         x = x + gamma * d
         np.clip(x, 0.0, None, out=x)
         x /= x.sum()
@@ -161,6 +161,65 @@ def minimize_convex_over_simplex(
         stacklevel=2,
     )
     return SimplexMinResult(x, val, gap, it, False)
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float, rtol: float, maxiter: int) -> float:
+    """``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter,
+    disp=False)`` of scipy 1.17, bit for bit: its C routine (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4) ported
+    line for line, with the same evaluations in the same order.
+
+    Like scipy, it raises ValueError when f is NaN or has the same sign at
+    both ends, and returns its current estimate when ``maxiter`` runs out.
+    """
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = call(xpre)
+    fcur = call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    return xcur
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,20 @@ cleaning, option re-validation, sparse stacking and the per-column loop over
 bound duals, which no caller reads. So nothing here checks the input: the
 callers (``scores``, ``divergence``) build finite arrays of matching sizes.
 
-The HiGHS core is imported on the first solve, so importing this module
-imports no scipy.
+scipy stays a dependency for its HiGHS binary, but the ``scipy.optimize``
+package, whose import costs more than most answers, is never imported: on
+the first solve ``_load`` loads the extension by its file path inside
+scipy's install directory, under its own dotted name, so if a program later
+imports it through scipy, it gets the same module object.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -49,11 +55,34 @@ class LPResult:
     message: str
 
 
+def _scipy_dir() -> Path:
+    """scipy's install directory, found without running ``scipy/__init__``."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("repgame.lp needs scipy for its HiGHS core, and scipy is not installed")
+    return Path(spec.submodule_search_locations[0])
+
+
+def _scipy_version() -> str:
+    from importlib.metadata import PackageNotFoundError, version
+    try:
+        return version("scipy")
+    except PackageNotFoundError:
+        return "of unknown version"
+
+
 @functools.cache
 def _load():
     """The HiGHS core, the options every solve passes, and scipy's status
     code by HiGHS model status; built on the first solve."""
-    from scipy.optimize._highspy import _core
+    path = (_scipy_dir() / "optimize" / "_highspy"
+            / ("_core" + importlib.machinery.EXTENSION_SUFFIXES[0]))
+    if not path.is_file():
+        raise ImportError(f"repgame.lp needs scipy's HiGHS core, and scipy {_scipy_version()} "
+                          f"has none at {path}")
+    spec = importlib.util.spec_from_file_location("scipy.optimize._highspy._core", path)
+    _core = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(_core)
 
     opts = _core.HighsOptions()
     opts.presolve = "on"

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
 
 import repgame.divergence
 from repgame.bruteforce import grid_min_kl_forward
 from repgame.divergence import (MEMBER_TOL, SeparationCertificate, SeparationReport,
-                                SimplexMinResult, dc_dn, find_alpha_star,
+                                SimplexMinResult, _brentq, dc_dn, find_alpha_star,
                                 hull_membership, kl, min_kl_over_attainable,
                                 minimize_convex_over_simplex,
                                 normal_favoring_check, separation_value, tv)
@@ -343,6 +343,74 @@ def test_root_find_costs_under_twenty_objective_calls_per_iteration(monkeypatch)
     res = min_kl_over_attainable(Distribution(labels, FIXED_INTERIOR_ALPHA @ FIXED_INTERIOR_R), rho)
     assert res.converged
     assert len(calls) < 20 * res.iterations
+
+
+# -- the brentq port against scipy.optimize.brentq ------------------------------
+
+def _both_brentqs(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
+    """(outcome, f calls) of the port and of scipy's brentq with disp=False:
+    the root's hex, or the ValueError's message."""
+    out = []
+    for solve in (lambda g: _brentq(g, a, b, xtol, rtol, maxiter),
+                  lambda g: brentq(g, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter, disp=False)):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+        try:
+            outcome = float(solve(counted)).hex()
+        except ValueError as err:
+            outcome = f"ValueError: {err}"
+        out.append((outcome, calls))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:simplex minimization stopped")
+def test_brentq_port_matches_scipy_on_recorded_line_searches(monkeypatch):
+    # each line search of a seeded set of projections, replayed at once
+    # through both (the step function closes over the current iterate)
+    seen = []
+
+    def record(f, a, b, xtol, rtol, maxiter):
+        (got, got_calls), (ref, ref_calls) = _both_brentqs(f, a, b, xtol, rtol, maxiter)
+        seen.append((a, b))
+        assert got == ref and got_calls == ref_calls
+        return float.fromhex(got)
+
+    monkeypatch.setattr(repgame.divergence, "_brentq", record)
+    for q, rho in random_slices(13, 60):
+        min_kl_over_attainable(q, rho, max_iter=300)
+    assert len(seen) > 1000
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 3 - 0.2, 0.0, 1.0),
+    (lambda x: math.exp(x) - 2.0, 1.0, 0.0),          # reversed bracket
+    (lambda x: math.tanh(50.0 * (x - 0.3)), 0.0, 1.0),
+], ids=["cos", "cubic", "exp-reversed", "steep"])
+@pytest.mark.parametrize("maxiter", [0, 1, 2, 3, 5, 100])
+def test_brentq_port_matches_scipy_when_maxiter_runs_out(f, a, b, maxiter):
+    got, ref = _both_brentqs(f, a, b, maxiter=maxiter)
+    assert got == ref
+    assert not got[0].startswith("ValueError")
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x, 0.0, 1.0),                          # root at a
+    (lambda x: x - 1.0, 0.0, 1.0),                    # root at b
+    (lambda x: x, -0.0, 2.0),                         # root at a, negative zero
+    (lambda x: x * x + 1.0, -1.0, 1.0),               # same sign, positive
+    (lambda x: -1.0 - x * x, 0.0, 2.0),               # same sign, negative
+    (lambda x: math.nan, 0.0, 1.0),                   # NaN at a
+    (lambda x: math.nan if x > 0.0 else -1.0, 0.0, 1.0),   # NaN at b
+    (lambda x: math.nan if 0.3 < x < 0.7 else x - 0.5, 0.0, 1.0),  # NaN inside
+], ids=["root-at-a", "root-at-b", "root-at-negative-zero", "same-sign-positive",
+        "same-sign-negative", "nan-at-a", "nan-at-b", "nan-inside"])
+def test_brentq_port_matches_scipy_at_the_edges(f, a, b):
+    got, ref = _both_brentqs(f, a, b)
+    assert got == ref
 
 
 # -- KL projection vs the independent grid oracle -----------------------------

@@ -4,8 +4,10 @@
 corpus of the programs repgame solves (every batch and half-batch ``kappa``
 makes on four games, and hull phase-1 programs of member and non-member
 slices) the matrix it passes equals the one linprog stacks, and status, x,
-objective and duals are equal to linprog's, bit for bit. A scipy upgrade
-that moves or changes the private HiGHS module fails here first.
+objective and duals are equal to linprog's, bit for bit. The HiGHS core
+``repgame.lp`` loads by file path is the module scipy's own import returns,
+and no answer imports ``scipy.optimize``. A scipy upgrade that moves or
+changes the private HiGHS module fails here first.
 """
 
 import json
@@ -13,16 +15,19 @@ import os
 import subprocess
 import sys
 import warnings
+from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog as scipy_linprog
+from scipy.optimize._highspy import _core
 from scipy.optimize._linprog_util import _check_result
 from scipy.sparse import block_diag, csc_array, vstack
 
 import repgame
 import repgame.divergence
+import repgame.lp
 import repgame.scores
 from repgame.configio import emit_scenario_document
 from repgame.divergence import hull_membership
@@ -228,9 +233,11 @@ def test_optimum_check_is_linprogs():
     assert 0 < kept < 2000
 
 
-def test_cli_imports_no_scipy_until_a_solve(tmp_path):
-    # scipy is imported on the first LP solve or line search: importing the
-    # CLI, listing scenarios, a config error and a simulation import none
+def test_cli_answers_without_importing_scipy_optimize(tmp_path):
+    # importing the CLI, listing scenarios, a config error and a simulation
+    # load no HiGHS; bounds, check-separation and a verify suite load the
+    # HiGHS core alone, never the scipy or scipy.optimize packages. A later
+    # import through scipy.optimize then returns the core already loaded.
     doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
     doc["simulation"] = {"delta": 0.9, "runs": 2, "horizon": 5, "master_seed": 1,
                          "normal_strategy": [0.0, 1.0]}
@@ -241,13 +248,36 @@ def test_cli_imports_no_scipy_until_a_solve(tmp_path):
              ("config error", "assert main(['bounds', '--config', '{}']) == 2"),
              ("simulate", f"assert main(['simulate', '--config', {str(cfg)!r}, "
                           f"'--out', {str(tmp_path / 'out')!r}]) == 0"),
-             ("bounds", f"assert main(['bounds', '--config', {str(cfg)!r}]) == 0")]
-    code = "import sys\nfrom repgame.cli import main\n" + "".join(
-        f"{step}\nprint({name!r}, 'scipy' in sys.modules)\n" for name, step in steps)
+             ("bounds", f"assert main(['bounds', '--config', {str(cfg)!r}]) == 0"),
+             ("check-separation", f"assert main(['check-separation', '--config', {str(cfg)!r}]) == 0"),
+             ("verify separation", "assert main(['verify', 'separation']) == 0"),
+             ("scipy import", "from scipy.optimize._highspy import _core\n"
+                              "assert _core is repgame.lp._load()[0]")]
+    code = "import sys\nimport repgame.lp\nfrom repgame.cli import main\n" + "".join(
+        f"{step}\nprint('STEP', {name!r}, 'scipy' in sys.modules, 'scipy.optimize' in "
+        f"sys.modules, repgame.lp._load.cache_info().currsize == 1)\n" for name, step in steps)
     env = {**os.environ, "PYTHONPATH": str(Path(repgame.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    seen = [line for line in proc.stdout.splitlines() if line.endswith(("True", "False"))]
-    assert seen == ["import False", "scenario list False", "config error False",
-                    "simulate False", "bounds True"]
+    seen = [line[5:] for line in proc.stdout.splitlines() if line.startswith("STEP ")]
+    assert seen == ["import False False False", "scenario list False False False",
+                    "config error False False False", "simulate False False False",
+                    "bounds False False True", "check-separation False False True",
+                    "verify separation False False True", "scipy import True True True"]
+
+
+def test_highs_core_is_the_file_scipy_imports():
+    core = repgame.lp._load()[0]
+    assert core is _core
+    assert Path(core.__file__) == Path(_core.__file__)
+
+
+def test_missing_highs_core_names_scipy_version_and_path(monkeypatch, tmp_path):
+    # the uncached loader, pointed at an empty scipy directory
+    monkeypatch.setattr(repgame.lp, "_scipy_dir", lambda: tmp_path)
+    with pytest.raises(ImportError) as err:
+        repgame.lp._load.__wrapped__()
+    message = str(err.value)
+    assert f"scipy {version('scipy')}" in message
+    assert str(tmp_path / "optimize" / "_highspy") in message
