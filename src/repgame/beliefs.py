@@ -11,11 +11,19 @@ individual hypotheses have lost hundreds of nats.
 The batch engine is vectorized across Monte Carlo runs. Randomness comes from
 counter-based per-run substreams (Philox keyed by ``(master_seed << 64) | run``).
 Actions and signals never depend on beliefs, so the whole (runs, T) panel of
-them is drawn first; beliefs are then computed in time blocks of about 2**16
-run-periods, log weights by a running sum over each block. Every panel column,
-``kl_term`` included, is computed per run with the same floating-point steps at
-any batch size: run ``i`` of a 1000-run batch is bit-identical to run ``i``
-simulated alone.
+them is drawn first: each run's uniforms go into one reusable buffer of about
+2**16 run-periods, a chunk of runs at a time, and each chunk becomes actions
+and signals, kept in the smallest unsigned dtype that holds the largest index
+(uint8 for every game in the package), before the buffer is reused. Beliefs are then computed in time blocks
+of about 2**16 run-periods, log weights by a running sum over each block. Every
+panel column, ``kl_term`` included, is computed per run with the same
+floating-point steps at any batch size: run ``i`` of a 1000-run batch is
+bit-identical to run ``i`` simulated alone.
+
+A batch holds about 34 bytes per run-period: four float64 panels (``mu``,
+``ell``, ``u_flow``, ``tv_gap``) and the two uint8 index panels; ``kl_term``
+adds 8 more. The cap of 64M run-periods per batch (``_MAX_CELLS``) is thus
+about 2.2 GB of panels, or 2.7 GB with ``kl_term``.
 """
 
 from __future__ import annotations
@@ -265,31 +273,58 @@ def _resolve_horizon(game: StageGame, config: SimulationConfig) -> tuple[int, fl
 
 
 _MAX_CELLS = 64_000_000  # run-periods in one batch
-_CELLS = 1 << 16  # run-periods per time block of the belief pass
+_CELLS = 1 << 16  # run-periods per chunk of the draw and per block of the belief pass
 
 
-def _uniforms(master_seed: int, run_indices: np.ndarray, horizon: int) -> np.ndarray:
-    """(runs, T, 2) uniforms, one independent Philox substream per run index.
+def _draw(master_seed: int, run_indices: np.ndarray, alpha_mat: np.ndarray,
+          R_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Long-run actions and signals, (runs, T) each, one Philox substream per run.
 
     One generator is re-keyed per run; the state set is what
-    ``Philox(key=(master_seed << 64) | run)`` starts from.
+    ``Philox(key=(master_seed << 64) | run)`` starts from, and the run's first
+    2T uniforms, as a (T, 2) array, drive its actions and signals. They are
+    drawn a chunk of ``max(1, _CELLS // T)`` runs at a time into one reusable
+    buffer, which becomes actions and signals before the next chunk.
+
+    An action is the number of entries of cumsum(alpha_t) at or below the
+    first uniform (``searchsorted`` on the right) clipped to nA - 1: as the
+    cumsum never decreases, that is the count over all its entries but the
+    last. A signal is the same count on the cumulative row of the action's
+    signal law. Each panel is in the smallest unsigned dtype that holds its
+    largest index (uint8 for up to 256 actions or signals).
     """
     if not 0 <= master_seed < 2**63:
         raise ValueError("master_seed must lie in [0, 2**63)")
     if (np.asarray(run_indices) < 0).any():
         raise ValueError("run indices must be non-negative")
-    out = np.empty((len(run_indices), horizon, 2))
+    T, nA = alpha_mat.shape
+    nY = R_mat.shape[1]
+    a_cum = np.cumsum(alpha_mat, axis=1)[:, :-1].T    # (nA - 1, T)
+    y_cum = np.cumsum(R_mat, axis=1)[:, :-1].T        # (nY - 1, nA)
+    R = len(run_indices)
+    actions = np.zeros((R, T), dtype=np.min_scalar_type(nA - 1))
+    signals = np.zeros((R, T), dtype=np.min_scalar_type(nY - 1))
+    chunk = max(1, _CELLS // T)
+    buf = np.empty((min(R, chunk), T, 2))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
-    for i, run in enumerate(run_indices):
-        k = (master_seed << 64) | int(run)
-        state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-        state["state"]["key"] = np.array([k & (2**64 - 1), k >> 64], dtype=np.uint64)
-        state["buffer_pos"] = 4
-        bitgen.state = state
-        out[i] = gen.random((horizon, 2))
-    return out
+    for r0 in range(0, R, chunk):
+        u = buf[:min(chunk, R - r0)]
+        for i, run in enumerate(run_indices[r0:r0 + len(u)]):
+            k = (master_seed << 64) | int(run)
+            state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+            state["state"]["key"] = np.array([k & (2**64 - 1), k >> 64], dtype=np.uint64)
+            state["buffer_pos"] = 4
+            bitgen.state = state
+            gen.random(out=u[i])
+        a = actions[r0:r0 + len(u)]
+        for col in a_cum:
+            a += u[:, :, 0] >= col
+        y = signals[r0:r0 + len(u)]
+        for col in y_cum:
+            y += u[:, :, 1] >= col[a]
+    return actions, signals
 
 
 def _sum_cols(x: np.ndarray) -> np.ndarray:
@@ -347,28 +382,6 @@ def _per_row(mat: np.ndarray, fn) -> np.ndarray:
     return np.stack([done[key] for key in keys])
 
 
-def _draw_panel(uniforms: np.ndarray, alpha_mat: np.ndarray,
-                R_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Long-run actions and signals, (runs, T) each, from the uniforms.
-
-    An action is the number of entries of cumsum(alpha_t) at or below the
-    first uniform (``searchsorted`` on the right), a signal the same count on
-    the cumulative row of the action's signal law; both are clipped to range.
-    """
-    nA, nY = R_mat.shape
-    a_cum = np.cumsum(alpha_mat, axis=1)
-    actions = np.zeros(uniforms.shape[:2], dtype=np.int64)
-    for j in range(nA):
-        actions += uniforms[:, :, 0] >= a_cum[:, j]
-    np.minimum(actions, nA - 1, out=actions)
-    y_cum = np.cumsum(R_mat, axis=1)
-    signals = np.zeros_like(actions)
-    for j in range(nY):
-        signals += uniforms[:, :, 1] >= y_cum[actions, j]
-    np.minimum(signals, nY - 1, out=signals)
-    return actions, signals
-
-
 def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
               run_indices: np.ndarray) -> BatchResult:
     if framework.actions != game.actions_long or framework.signals != game.signals:
@@ -389,7 +402,8 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
     if R < 1:
         raise ValueError("need at least one run")
     if R * T > _MAX_CELLS:
-        raise ValueError(f"runs*horizon = {R * T} too large; lower runs or set horizon")
+        raise ValueError(f"runs*horizon = {R * T} run-periods, above the cap of "
+                         f"{_MAX_CELLS}; lower runs or the horizon")
 
     normal_stat, normal_mat = _schedule(config.normal_strategy, game.actions_long, T,
                                         "normal_strategy")
@@ -423,9 +437,7 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
 
     # Actions and signals depend on the uniforms and alpha_t only, never on
     # beliefs: draw the whole panel first.
-    uniforms = _uniforms(config.master_seed, run_indices, T)
-    actions, signals = _draw_panel(uniforms, alpha_mat, R_mat)
-    del uniforms
+    actions, signals = _draw(config.master_seed, run_indices, alpha_mat, R_mat)
 
     def row_loss(aw):
         row_v = aw @ game.v
@@ -452,7 +464,7 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
     for t0 in range(0, T, B):
         t1 = min(T, t0 + B)
         y = signals[:, t0:t1].T                           # (b, R)
-        a = actions[:, t0:t1].T
+        a = actions[:, t0:t1].T.astype(np.intp)           # a * nB wraps in uint8
         lw = np.empty((t1 - t0 + 1,) + log_w.shape)
         lw[0] = log_w
         lw[1:, :, TYPE_COMMIT, :] = log_fhat_by_y[y]
@@ -506,7 +518,8 @@ def simulate_batch(game: StageGame, framework: Framework,
     if config.runs < 1:
         raise ValueError("config.runs must be >= 1")
     if config.runs > _MAX_CELLS:
-        raise ValueError(f"runs = {config.runs} too large; runs*horizon is capped at {_MAX_CELLS}")
+        raise ValueError(f"runs*horizon is at least {config.runs} run-periods, above the "
+                         f"cap of {_MAX_CELLS}; lower runs")
     return _simulate(game, framework, config, np.arange(config.runs))
 
 

@@ -8,6 +8,7 @@ the forecast mixture, and the reply tie-breaking all at once.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from scipy.special import logsumexp
 
 import repgame.beliefs
 from repgame.beliefs import (BeliefState, SimulationConfig, TrajectoryRecord,
-                             _logsumexp, _resolve_horizon, _schedule, _uniforms,
+                             _draw, _logsumexp, _resolve_horizon, _schedule,
                              azuma_diagnostic, bayes_step,
                              certificate_kl_ceiling, decay_rate_fit,
                              discounted_kl_certificate, monte_carlo,
@@ -23,7 +24,7 @@ from repgame.beliefs import (BeliefState, SimulationConfig, TrajectoryRecord,
                              slp_action)
 from repgame.divergence import tv
 from repgame.frameworks import TYPE_COMMIT, TYPE_NORMAL, Framework
-from repgame.game import Distribution, mix_signal_dist
+from repgame.game import Distribution, SignalStructure, StageGame, mix_signal_dist
 from repgame.scenarios import (counter_example, perturbation_sequence, product_choice,
                                three_signal)
 from repgame.scores import BR_TIE_TOL, optimality_loss
@@ -353,6 +354,21 @@ def _reference_uniforms(master_seed, run_indices, horizon):
     return out
 
 
+def _reference_draw(uniforms, alpha_mat, R_mat):
+    """Actions and signals period by period: searchsorted, then clip to range."""
+    nA, nY = R_mat.shape
+    actions = np.empty(uniforms.shape[:2], dtype=np.int64)
+    signals = np.empty_like(actions)
+    for t, aw in enumerate(alpha_mat):
+        a_idx = np.searchsorted(np.cumsum(aw), uniforms[:, t, 0], side="right")
+        np.clip(a_idx, 0, nA - 1, out=a_idx)
+        ycum = np.cumsum(R_mat[a_idx], axis=1)
+        y_idx = (uniforms[:, t, 1][:, None] >= ycum).sum(axis=1)
+        np.clip(y_idx, 0, nY - 1, out=y_idx)
+        actions[:, t], signals[:, t] = a_idx, y_idx
+    return actions, signals
+
+
 def _reference_simulate(game, framework, config, run_indices):
     T, truncation = _resolve_horizon(game, config)
     R = len(run_indices)
@@ -369,7 +385,6 @@ def _reference_simulate(game, framework, config, run_indices):
         alpha_mat = normal_mat
 
     R_mat = game.rho.matrix
-    nA, nY = R_mat.shape
     Fhat = framework.commitment_slices
     log_fhat = np.log(Fhat)
     if conj_stat is not None:
@@ -383,6 +398,7 @@ def _reference_simulate(game, framework, config, run_indices):
         p_star_ent = float(p_star @ np.log(p_star))
 
     uniforms = _reference_uniforms(config.master_seed, run_indices, T)
+    actions, signals = _reference_draw(uniforms, alpha_mat, R_mat)
     log_w = np.tile(np.log(framework.prior)[None, :, :], (R, 1, 1))
 
     mu = np.empty((R, T + 1))
@@ -390,8 +406,6 @@ def _reference_simulate(game, framework, config, run_indices):
     u_flow = np.empty((R, T))
     tv_gap = np.empty((R, T))
     kl_term = np.empty((R, T)) if p_star is not None else None
-    actions = np.empty((R, T), dtype=np.int64)
-    signals = np.empty((R, T), dtype=np.int64)
 
     for t in range(T):
         if conj_stat is not None:
@@ -410,11 +424,7 @@ def _reference_simulate(game, framework, config, run_indices):
         b_idx = np.argmax(vals >= (top - BR_TIE_TOL)[:, None], axis=1)
 
         aw = alpha_mat[t]
-        a_idx = np.searchsorted(np.cumsum(aw), uniforms[:, t, 0], side="right")
-        np.clip(a_idx, 0, nA - 1, out=a_idx)
-        ycum = np.cumsum(R_mat[a_idx], axis=1)
-        y_idx = (uniforms[:, t, 1][:, None] >= ycum).sum(axis=1)
-        np.clip(y_idx, 0, nY - 1, out=y_idx)
+        a_idx, y_idx = actions[:, t], signals[:, t]
 
         row_v = aw @ game.v
         loss_b = row_v.max() - row_v
@@ -428,8 +438,6 @@ def _reference_simulate(game, framework, config, run_indices):
 
         log_w[:, TYPE_COMMIT, :] += log_fhat[:, y_idx].T
         log_w[:, TYPE_NORMAL, :] += logF0[:, y_idx].T
-        actions[:, t] = a_idx
-        signals[:, t] = y_idx
 
     norm = logsumexp(log_w.reshape(R, -1), axis=1)
     mu[:, T] = np.exp(log_w - norm[:, None, None])[:, TYPE_COMMIT, :].sum(axis=1)
@@ -475,6 +483,27 @@ def _survival_case(horizon):
     return game, fw, dict(normal_strategy=alpha_star, alpha_star_target=alpha_star)
 
 
+def _random_game_case(n_long, n_short, n_signals, seed):
+    """A random game and one-model framework of the given sizes, played by a
+    full-support normal strategy with extra weight on the last action."""
+    def build(horizon):
+        rng = np.random.default_rng(seed)
+        a_long = tuple(f"a{i}" for i in range(n_long))
+        sig = tuple(f"y{j}" for j in range(n_signals))
+        rho = SignalStructure(a_long, sig, rng.dirichlet(np.full(n_signals, 5.0), n_long))
+        game = StageGame(a_long, tuple(f"b{i}" for i in range(n_short)), sig,
+                         rng.normal(size=(n_long, n_short)),
+                         rng.normal(size=(n_short, n_signals)), rho)
+        kernels = rng.dirichlet(np.full(n_signals, 5.0), size=(2, 1, n_long))
+        weights = rng.dirichlet(np.ones(n_long)) + np.eye(n_long)[-1]
+        fw = Framework(models=("m0",), actions=a_long, signals=sig,
+                       normal_kernels=kernels[0], commitment_kernels=kernels[1],
+                       prior=np.array([[0.5], [0.5]]),
+                       commitment_action=a_dist(game, np.eye(n_long)[0]))
+        return game, fw, dict(normal_strategy=a_dist(game, weights / weights.sum()))
+    return build
+
+
 SCRIPT = [0.9, 0.9, 0.1, 0.5, 0.5, 0.5, 0.0, 1.0]
 ORACLE_CASES = {
     "stationary": _pc_case(0.3),
@@ -485,6 +514,9 @@ ORACLE_CASES = {
     "two-models-scripted": _pc_case(SCRIPT, conjecture=[0.2, 0.7, 0.7], member=3),
     "survival": _survival_case,
     "four-models": _four_models_case,
+    # a * nB reaches 16 * 16 + 15 = 271: an index product in uint8 would wrap
+    "17x16": _random_game_case(17, 16, 3, seed=12),
+    "300-signals": _random_game_case(2, 2, 300, seed=13),  # uint16 signal panel
 }
 
 
@@ -508,6 +540,9 @@ ORACLE_CASES = {
     ("survival", 200, 700, None),
     ("four-models", 1, 300, 128),
     ("four-models", 200, 700, None),
+    ("17x16", 200, 333, None),
+    ("17x16", 3, 50, 20),
+    ("300-signals", 200, 333, None),
 ])
 def test_blocked_simulator_matches_per_period_loop(monkeypatch, case, runs, horizon, cells):
     if cells is not None:
@@ -518,6 +553,8 @@ def test_blocked_simulator_matches_per_period_loop(monkeypatch, case, runs, hori
     ref = _reference_simulate(game, fw, cfg, np.arange(runs))
     for field in ("mu", "ell", "u_flow", "tv_gap", "actions", "signals"):
         assert np.array_equal(getattr(batch, field), ref[field]), field
+    assert batch.actions.dtype == np.uint8
+    assert batch.signals.dtype == (np.uint16 if len(game.signals) > 256 else np.uint8)
     if ref["kl_term"] is None:
         assert batch.kl_term is None
     else:
@@ -535,12 +572,43 @@ def test_survival_run_is_batch_row_at_any_batch_size(runs):
             assert np.array_equal(getattr(rec, field), getattr(batch, field)[k]), field
 
 
-def test_uniforms_match_one_philox_per_run():
+# horizon 5: a chunk of the draw holds 1, 3 and all 4 runs
+@pytest.mark.parametrize("cells", [5, 15, 1 << 16])
+def test_chunked_draw_matches_one_philox_per_run(monkeypatch, cells):
+    monkeypatch.setattr(repgame.beliefs, "_CELLS", cells)
     seed = 2**63 - 1
     runs = np.array([0, 1, 2**40 + 3, 2**63 - 1])
-    assert np.array_equal(_uniforms(seed, runs, 5), _reference_uniforms(seed, runs, 5))
+    rng = np.random.default_rng(6)
+    alpha_mat = np.vstack([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], rng.dirichlet(np.ones(3), 3)])
+    R_mat = rng.dirichlet(np.ones(4), 3)
+    actions, signals = _draw(seed, runs, alpha_mat, R_mat)
+    want = _reference_draw(_reference_uniforms(seed, runs, 5), alpha_mat, R_mat)
+    assert np.array_equal(actions, want[0]) and np.array_equal(signals, want[1])
+    assert actions.dtype == signals.dtype == np.uint8
     with pytest.raises(ValueError, match="non-negative"):
-        _uniforms(seed, np.array([3, -1]), 5)
+        _draw(seed, np.array([3, -1]), alpha_mat, R_mat)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_memory_is_about_34_bytes_per_run_period():
+    # a batch: four float64 panels (mu has T + 1 columns) and two uint8 index
+    # panels, plus one belief block; the draw: the index panels and one chunk
+    game, fw = product_choice(0.6, 0.3, 0.15)
+    runs, horizon = 5000, 400
+    cfg = SimulationConfig(delta=0.95, master_seed=1, runs=runs, horizon=horizon,
+                           normal_strategy=a_dist(game, [0.0, 1.0]))
+    assert _traced_peak(simulate_batch, game, fw, cfg) <= 34 * runs * (horizon + 1) + 16 * 2**20
+    alpha_mat = np.tile(cfg.normal_strategy.weights, (horizon, 1))
+    assert _traced_peak(_draw, 1, np.arange(runs), alpha_mat,
+                        game.rho.matrix) <= 2 * runs * horizon + 4 * 2**20
 
 
 def test_logsumexp_is_scipys_bit_for_bit():
