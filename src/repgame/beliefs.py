@@ -63,6 +63,13 @@ __all__ = [
 
 Strategy = Union[Distribution, Sequence[Distribution]]
 
+_HORIZON_SLACK = 1e-12      # relative slack on a derived horizon's discarded tail
+_DECAY_WINDOW = 0.5         # trailing share of the curve that decay_rate_fit fits
+SAME_STRATEGY_ATOL = 1e-12  # play is at the target or the conjecture within this
+CERTIFICATE_SLACK = 1e-9    # a run passes the certificate if lhs <= rhs + this
+ZETA_SLACK = 1e-12          # azuma_diagnostic takes zeta up to the separation value + this
+AZUMA_SLACK = 1e-12         # an empirical tail holds if at most its bound + this
+
 
 # ---------------------------------------------------------------------------
 # single-step belief API
@@ -242,6 +249,11 @@ def _schedule(strategy: Strategy, actions: tuple[str, ...], horizon: int,
     return None, mat
 
 
+def _conjecture(config: SimulationConfig) -> Strategy | None:
+    """The short-run players' conjecture: slp_conjecture, or normal_strategy if None."""
+    return config.normal_strategy if config.slp_conjecture is None else config.slp_conjecture
+
+
 def _script_length(strategy: Strategy | None) -> int | None:
     if strategy is None or isinstance(strategy, Distribution):
         return None
@@ -268,7 +280,7 @@ def _resolve_horizon(game: StageGame, config: SimulationConfig) -> tuple[int, fl
             if T > 5_000_000:
                 raise ValueError(
                     f"derived horizon {T} is impractical; set horizon explicitly")
-            assert scale * config.delta ** T <= config.truncation_tol * (1 + 1e-12)
+            assert scale * config.delta ** T <= config.truncation_tol * (1 + _HORIZON_SLACK)
     return T, float(scale * config.delta ** T)
 
 
@@ -405,11 +417,8 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
         raise ValueError(f"runs*horizon = {R * T} run-periods, above the cap of "
                          f"{_MAX_CELLS}; lower runs or the horizon")
 
-    normal_stat, normal_mat = _schedule(config.normal_strategy, game.actions_long, T,
-                                        "normal_strategy")
-    conj_spec = config.slp_conjecture if config.slp_conjecture is not None \
-        else config.normal_strategy
-    conj_stat, conj_mat = _schedule(conj_spec, game.actions_long, T, "slp_conjecture")
+    _, normal_mat = _schedule(config.normal_strategy, game.actions_long, T, "normal_strategy")
+    conj_stat, conj_mat = _schedule(_conjecture(config), game.actions_long, T, "slp_conjecture")
 
     if config.true_type == "commitment":
         alpha_mat = np.tile(framework.commitment_action.weights, (T, 1))
@@ -540,27 +549,27 @@ class DecayFit:
     window: tuple[int, int]
 
 
-def decay_rate_fit(curve: np.ndarray, *, window_frac: float = 0.5) -> DecayFit:
-    """Least-squares slope of ln(curve) over the trailing window.
+def decay_rate_fit(curve: np.ndarray) -> DecayFit:
+    """Least-squares slope of ln(curve) over its trailing ``_DECAY_WINDOW`` share.
 
     Entries that have underflowed to zero cannot be logged; the window shrinks
     to its leading positive stretch with a warning rather than failing, since
     a reputation that underflows is decaying about as fast as floats can say.
     If that leaves fewer than 2 points, the curve underflowed before the
-    window: the fit moves to the trailing ``window_frac`` of the curve's
-    positive prefix instead.
+    window: the fit moves to the trailing ``_DECAY_WINDOW`` share of the
+    curve's positive prefix instead.
     """
     c = np.asarray(curve, dtype=float)
     if c.ndim != 1 or c.size < 4:
         raise ValueError("decay_rate_fit: need a 1-D curve with at least 4 points")
-    start = c.size - max(2, int(round(c.size * window_frac)))
+    start = c.size - max(2, int(round(c.size * _DECAY_WINDOW)))
     end = c.size
     pos = c > 0.0
     if not pos[start:].all():
         end = start + int(np.argmax(~pos[start:]))
         if end - start < 2:
             end = int(np.argmax(~pos))
-            start = max(0, end - max(2, int(round(end * window_frac))))
+            start = max(0, end - max(2, int(round(end * _DECAY_WINDOW))))
         warnings.warn(
             f"decay_rate_fit: window shrunk to {end - start} points before underflow",
             RuntimeWarning, stacklevel=2)
@@ -655,21 +664,14 @@ class CertificateReport:
     model: str
 
 
-def _effective_strategy(config: SimulationConfig, framework: Framework) -> Strategy:
-    if config.true_type == "commitment":
-        return framework.commitment_action
-    return config.normal_strategy
-
-
 def discounted_kl_certificate(batch: BatchResult, framework: Framework,
-                              model: int | str, *, tol: float = 1e-9
-                              ) -> CertificateReport:
+                              model: int | str) -> CertificateReport:
     cfg = batch.config
     if batch.kl_term is None or cfg.alpha_star_target is None:
         raise ValueError("certificate needs a batch recorded with alpha_star_target set")
-    actual = _effective_strategy(cfg, framework)
+    actual = framework.commitment_action if cfg.true_type == "commitment" else cfg.normal_strategy
     if not isinstance(actual, Distribution) or not np.allclose(
-            actual.weights, cfg.alpha_star_target.weights, atol=1e-12):
+            actual.weights, cfg.alpha_star_target.weights, atol=SAME_STRATEGY_ATOL):
         raise ValueError(
             "certificate applies to persistent target play; the simulated strategy "
             "is not stationary at alpha_star_target")
@@ -682,7 +684,7 @@ def discounted_kl_certificate(batch: BatchResult, framework: Framework,
     w = (1.0 - d) * d ** np.arange(T)
     lhs = batch.kl_term @ w
     rhs = -(1.0 - d) * math.log(prior_mass) + eps
-    ok = lhs <= rhs + tol
+    ok = lhs <= rhs + CERTIFICATE_SLACK
     return CertificateReport(
         lhs=lhs, rhs=float(rhs), epsilon=float(eps), prior_mass=prior_mass,
         holds_all=bool(ok.all()), holds_fraction=float(ok.mean()),
@@ -702,7 +704,7 @@ def certificate_kl_ceiling(batch: BatchResult, framework: Framework) -> float:
     if batch.target_signal_dist is None:
         raise ValueError("batch was not recorded with alpha_star_target set")
     target = Distribution(framework.signals, batch.target_signal_dist)
-    conj = cfg.slp_conjecture if cfg.slp_conjecture is not None else cfg.normal_strategy
+    conj = _conjecture(cfg)
     if isinstance(conj, Distribution):
         conj_list = [conj]
     else:
@@ -731,7 +733,7 @@ class AzumaReport:
 
     @property
     def holds(self) -> bool:
-        return all(r.empirical_tail <= r.bound + 1e-12 for r in self.rows)
+        return all(r.empirical_tail <= r.bound + AZUMA_SLACK for r in self.rows)
 
 
 def azuma_diagnostic(batch: BatchResult, game: StageGame, framework: Framework,
@@ -748,15 +750,15 @@ def azuma_diagnostic(batch: BatchResult, game: StageGame, framework: Framework,
     rep = separation_value(framework, game.rho)
     if not rep.separating:
         raise ValueError("azuma_diagnostic requires a separating framework")
-    if not 0.0 < zeta <= rep.value + 1e-12:
+    if not 0.0 < zeta <= rep.value + ZETA_SLACK:
         raise ValueError(f"zeta must lie in (0, {rep.value:.6g}], got {zeta}")
     if cfg.true_type != "normal":
         raise ValueError("drift analysis applies to paths generated by the normal type")
     if not framework.normal_correctly_specified:
         raise ValueError("drift analysis assumes correctly specified normal hypotheses")
-    conj = cfg.slp_conjecture if cfg.slp_conjecture is not None else cfg.normal_strategy
+    conj = _conjecture(cfg)
     if not (isinstance(conj, Distribution) and isinstance(cfg.normal_strategy, Distribution)
-            and np.allclose(conj.weights, cfg.normal_strategy.weights, atol=1e-12)):
+            and np.allclose(conj.weights, cfg.normal_strategy.weights, atol=SAME_STRATEGY_ATOL)):
         raise ValueError("drift analysis needs a stationary, correctly conjectured strategy")
 
     T = batch.horizon

@@ -23,6 +23,7 @@ __all__ = ["LATTICE_CAP", "LatticeCapError", "check_lattice", "grid_min_kl_forwa
            "grid_min_kl_reverse", "lattice_size", "lattice_steps", "simplex_lattice"]
 
 LATTICE_CAP = 2**21  # most points simplex_lattice builds (2,097,152)
+_STEPS_TOL = 1e-9  # a resolution divides 1 when 1/resolution steps land this close to 1
 
 # Runs bisected at once, read as chunks of the (n - 1)-action lattice. That
 # lattice keeps each of its own runs whole, so three actions bisect all k + 1
@@ -35,7 +36,7 @@ def lattice_steps(resolution: float) -> int:
     if not 0.0 < resolution <= 1.0:
         raise ValueError(f"resolution {resolution!r} must lie in (0, 1]")
     k = round(1.0 / resolution)
-    if abs(k * resolution - 1.0) > 1e-9:
+    if abs(k * resolution - 1.0) > _STEPS_TOL:
         raise ValueError(f"resolution {resolution!r} must evenly divide 1")
     return k
 

@@ -31,6 +31,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
+DEFAULT_GRID = 1e-2  # lattice spacing when neither --grid nor bounds.grid sets one
 _BOUNDS_NOTE = ("interval brackets attainable equilibrium payoffs for the patient "
                 "long-run player; it does not exhibit equilibrium strategies")
 
@@ -46,10 +47,10 @@ def _load(args) -> ExperimentConfig:
     return load_config(args.config)
 
 
-def _grid(args, cfg: ExperimentConfig, default: float = 1e-2) -> float:
-    """Lattice spacing from --grid or the bounds block; it must divide 1 evenly,
+def _grid(args, cfg: ExperimentConfig) -> float:
+    """Lattice spacing from --grid, the bounds block or ``DEFAULT_GRID``; it must divide 1 evenly,
     and the game's commitment lattice must stay within ``LATTICE_CAP`` points."""
-    raw = args.grid if args.grid is not None else cfg.bounds.get("grid", default)
+    raw = args.grid if args.grid is not None else cfg.bounds.get("grid", DEFAULT_GRID)
     try:
         grid = float(raw)
         check_lattice(len(cfg.game.actions_long), grid)

@@ -194,14 +194,14 @@ def simulation_from_dict(d: dict, actions: tuple[str, ...]) -> SimulationConfig:
     return SimulationConfig(
         delta=_sim_number(d, "delta"),
         master_seed=_sim_number(d, "master_seed", integer=True, nullable=True),
-        runs=_sim_number(d, "runs", 100, integer=True),
-        true_type=str(d.get("true_type", "normal")),
+        runs=_sim_number(d, "runs", SimulationConfig.runs, integer=True),
+        true_type=str(d.get("true_type", SimulationConfig.true_type)),
         normal_strategy=_strategy_from_json(d.get("normal_strategy"), actions,
                                             "normal_strategy"),
         slp_conjecture=_strategy_from_json(d.get("slp_conjecture"), actions,
                                            "slp_conjecture"),
         horizon=_sim_number(d, "horizon", integer=True, nullable=True),
-        truncation_tol=_sim_number(d, "truncation_tol", 1e-4),
+        truncation_tol=_sim_number(d, "truncation_tol", SimulationConfig.truncation_tol),
         alpha_star_target=target,
     )
 

@@ -54,6 +54,10 @@ __all__ = [
 MEMBER_TOL = 1e-9
 # separation_value treats min-KL at or below this as "zero" for the cross-check.
 EQUIV_TOL = 1e-7
+# Conditional gradient stops, converged, at a Frank-Wolfe gap (which bounds the
+# suboptimality) of at most FW_GAP_TOL; unconverged after FW_MAX_ITER steps.
+FW_GAP_TOL = 1e-10
+FW_MAX_ITER = 100_000
 # Line-search root-find: steps resolved to double precision. brentq accepts no
 # rtol below 4 eps, and an xtol of 1e-300 does not converge.
 _LS_XTOL = 1e-17
@@ -101,8 +105,8 @@ def minimize_convex_over_simplex(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     n: int,
     *,
-    gap_tol: float = 1e-10,
-    max_iter: int = 100_000,
+    gap_tol: float = FW_GAP_TOL,
+    max_iter: int = FW_MAX_ITER,
 ) -> SimplexMinResult:
     """Conditional-gradient descent with away steps and exact line search.
 
@@ -254,12 +258,12 @@ def _lp(c: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray) -> LPResult:
     return res
 
 
-def hull_membership(q: Distribution, rho: SignalStructure, *, tol: float = MEMBER_TOL) -> HullMembership:
+def hull_membership(q: Distribution, rho: SignalStructure) -> HullMembership:
     """Decide whether q lies in co{rho(.|a)} by exact linear feasibility.
 
     Phase-1 form: minimize the L1 defect of R^T alpha = q over the action
-    simplex. Membership means the optimal witness reproduces q within ``tol``
-    in every coordinate; otherwise a separating hyperplane is returned.
+    simplex. Membership means the optimal witness reproduces q within
+    ``MEMBER_TOL`` in every coordinate; otherwise a separating hyperplane is returned.
 
     The hyperplane is read off the same solve. The LP dual of the phase-1
     program is: maximize h.q - z subject to R h <= z and -1 <= h <= 1, whose
@@ -287,7 +291,7 @@ def hull_membership(q: Distribution, rho: SignalStructure, *, tol: float = MEMBE
     alpha = np.clip(res.x[:n_a], 0.0, None)
     alpha /= alpha.sum()
     residual = float(np.abs(alpha @ R - q.weights).max())
-    if residual <= tol:
+    if residual <= MEMBER_TOL:
         return HullMembership(True, Distribution(rho.actions, alpha), None, residual)
     h = res.row_duals[:n_y]
     threshold = float((R @ h).max())
@@ -308,8 +312,8 @@ class MinKLResult:
     converged: bool
 
 
-def min_kl_over_attainable(q: Distribution, rho: SignalStructure, *, gap_tol: float = 1e-10,
-                           max_iter: int = 100_000) -> MinKLResult:
+def min_kl_over_attainable(q: Distribution, rho: SignalStructure, *,
+                           gap_tol: float = FW_GAP_TOL, max_iter: int = FW_MAX_ITER) -> MinKLResult:
     """min over mixed actions alpha of D(rho_alpha || q).
 
     Convex in alpha (the first argument is linear in alpha and relative
@@ -333,8 +337,7 @@ def min_kl_over_attainable(q: Distribution, rho: SignalStructure, *, gap_tol: fl
     return MinKLResult(value, Distribution(rho.actions, res.point), res.gap, res.iterations, res.converged)
 
 
-def _min_kl_to_mixture(p: np.ndarray, F: np.ndarray, *, gap_tol: float = 1e-10,
-                       max_iter: int = 100_000) -> SimplexMinResult:
+def _min_kl_to_mixture(p: np.ndarray, F: np.ndarray) -> SimplexMinResult:
     """min over alpha of D(p || sum_a alpha(a) F[a]), fixed first argument."""
     mask = p > 0.0
     p_pos = p[mask]
@@ -347,7 +350,7 @@ def _min_kl_to_mixture(p: np.ndarray, F: np.ndarray, *, gap_tol: float = 1e-10,
         grad = -(Fm @ (p_pos / m))
         return val, grad
 
-    res = minimize_convex_over_simplex(f, F.shape[0], gap_tol=gap_tol, max_iter=max_iter)
+    res = minimize_convex_over_simplex(f, F.shape[0])
     return SimplexMinResult(res.point, max(res.value, 0.0), res.gap, res.iterations, res.converged)
 
 
@@ -413,25 +416,20 @@ def separation_value(framework: Framework, rho: SignalStructure) -> SeparationRe
     return SeparationReport(best_value, best_alpha, best_model, membership, witnesses, per_model)
 
 
-def find_alpha_star(report: SeparationReport, *, tol: float = 1e-8
-                    ) -> tuple[str, Distribution] | None:
+def find_alpha_star(report: SeparationReport) -> tuple[str, Distribution] | None:
     """Model and mixed action reproducing a commitment slice exactly, if any.
 
     Reads a ``separation_value`` report. Returns (m_star, alpha_star) with
     m_star the first in-hull model in framework order and alpha_star its hull
-    witness, when the separation value vanishes (within ``tol``); None for
-    separating frameworks. Every member has an exact LP witness, and the
-    members' KL values are all rounding noise, so the choice goes by order,
-    not by KL.
+    witness; None for separating frameworks. Attainability is the LP's
+    verdict alone (``MEMBER_TOL``): ``separation_value`` has already checked
+    that every member projects within ``EQUIV_TOL``, and the members' KL
+    values are rounding noise, so the choice goes by order, not by KL.
     """
-    if report.value > tol:
-        return None
     m_star = next((m for m, member in report.membership.items() if member), None)
     if m_star is None:
         return None
-    witness = report.witnesses[m_star]
-    assert witness is not None
-    return m_star, witness
+    return m_star, report.witnesses[m_star]
 
 
 class DcDn(NamedTuple):

@@ -30,6 +30,7 @@ __all__ = [
 _SUM_TOL = 1e-9
 # Negative dust below this magnitude is clipped to 0; anything worse is rejected.
 _NEG_DUST = -1e-12
+_ALLCLOSE_ATOL = 1e-12  # Distribution.allclose: weights equal within this, coordinatewise
 
 
 def _as_prob_vector(weights, n: int, what: str) -> np.ndarray:
@@ -63,8 +64,8 @@ def _check_labels(labels: Sequence[str], what: str) -> tuple[str, ...]:
 class Distribution:
     """Probability vector over a finite, ordered label set.
 
-    Weights are validated (finite, nonnegative, summing to 1 within 1e-9),
-    normalized exactly, and frozen. Index into it with a label.
+    Weights are validated (finite, nonnegative, summing to 1 within
+    ``_SUM_TOL``), normalized exactly, and frozen. Index into it with a label.
     """
 
     labels: tuple[str, ...]
@@ -98,9 +99,9 @@ class Distribution:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def allclose(self, other: "Distribution", atol: float = 1e-12) -> bool:
+    def allclose(self, other: "Distribution") -> bool:
         return self.labels == other.labels and bool(
-            np.allclose(self.weights, other.weights, rtol=0.0, atol=atol)
+            np.allclose(self.weights, other.weights, rtol=0.0, atol=_ALLCLOSE_ATOL)
         )
 
     def __repr__(self) -> str:

@@ -19,6 +19,8 @@ the same best replies, so the choice only needs to be deterministic.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .divergence import normal_favoring_check, separation_value
@@ -38,6 +40,8 @@ _ACTIONS_LONG = ("a_h", "a_l")
 _ACTIONS_SHORT = ("b_h", "b_l")
 _U = np.array([[2.0, 0.0], [3.0, 1.0]])
 _V = np.array([[3.0, 2.0], [0.0, 1.0]])
+_LIFT_TOL = 1e-9  # a least-squares v_tilde must reproduce v this closely (np.allclose's atol)
+_GOOD_MASS = 0.1  # prior share of perturbation_sequence's "m_good" within each type
 
 
 def _lift_v_tilde(rho: SignalStructure, v: np.ndarray) -> np.ndarray:
@@ -47,7 +51,7 @@ def _lift_v_tilde(rho: SignalStructure, v: np.ndarray) -> np.ndarray:
         vt_T = np.linalg.solve(R, v)  # LinAlgError iff rows coincide
     else:
         vt_T, residuals, *_ = np.linalg.lstsq(R, v, rcond=None)
-        if not np.allclose(R @ vt_T, v, atol=1e-9):
+        if not np.allclose(R @ vt_T, v, atol=_LIFT_TOL):
             raise ValueError("signal structure cannot support the requested ex-ante payoffs")
     return vt_T.T
 
@@ -186,23 +190,20 @@ def normal_misspec_scenario() -> tuple[StageGame, Framework]:
 
 
 def perturbation_sequence(game: StageGame, base: Framework, n_max: int, *,
-                          shift_scale: float = 1.0, good_mass: float = 0.1
-                          ) -> list[Framework]:
+                          shift_scale: float = 1.0) -> list[Framework]:
     """Frameworks converging back to ``base`` while keeping a well-specified
     normal model alive.
 
     Member n perturbs every normal kernel of ``base`` by mixing weight
     shift_scale/(n+2) toward the action-rolled true structure (a maximally
     wrong but valid kernel), then appends an extra model "m_good" whose normal
-    kernel is the truth. Within each type, m_good holds ``good_mass`` of the
+    kernel is the truth. Within each type, m_good holds ``_GOOD_MASS`` of the
     prior and the original models share the rest in their original proportion.
     Every member must leave the well-specified model a strictly better fit
     than any commitment explanation; members that do not are rejected.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if not 0.0 < good_mass < 1.0:
-        raise ValueError("good_mass must lie in (0, 1)")
     rep = separation_value(base, game.rho)
     if not rep.separating:
         raise ValueError("perturbation_sequence needs a separating base framework")
@@ -221,8 +222,8 @@ def perturbation_sequence(game: StageGame, base: Framework, n_max: int, *,
         commitment_kernels = np.concatenate(
             [base.commitment_kernels, base.commitment_kernels[:1]])
         prior = np.hstack([
-            (1.0 - good_mass) * base.prior,
-            good_mass * base.prior.sum(axis=1, keepdims=True),
+            (1.0 - _GOOD_MASS) * base.prior,
+            _GOOD_MASS * base.prior.sum(axis=1, keepdims=True),
         ])
         fw = Framework(
             models=base.models + ("m_good",),
@@ -240,17 +241,12 @@ def perturbation_sequence(game: StageGame, base: Framework, n_max: int, *,
     return out
 
 
-# name -> (constructor, ordered (param, default) pairs; None marks required)
+# name -> (constructor, its signature's (param, default) pairs; None marks required)
 SCENARIOS: dict = {
-    "product_choice": (product_choice,
-                       (("p", None), ("q", None), ("epsilon", None), ("mu0", 0.5))),
-    "three_signal": (three_signal,
-                     (("p", None), ("q", None), ("r", None), ("epsilon", None),
-                      ("x", None), ("mu0", 0.5))),
-    "counter_example": (counter_example,
-                        (("p", None), ("q", None), ("epsilon", None), ("x", None),
-                         ("mu0", 0.5))),
-    "normal_misspec": (normal_misspec_scenario, ()),
+    name: (fn, tuple((p.name, None if p.default is p.empty else p.default)
+                     for p in inspect.signature(fn).parameters.values()))
+    for name, fn in (("product_choice", product_choice), ("three_signal", three_signal),
+                     ("counter_example", counter_example), ("normal_misspec", normal_misspec_scenario))
 }
 
 

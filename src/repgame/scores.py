@@ -9,9 +9,9 @@ x(y) = w(y) - z that all sit on one side of zero (lambda x(y) <= 0):
                z >= u(a', beta) + sum_y rho(y|a') x(y) for every a'
                lambda x(y) <= 0.
 
-Supremum of lambda z over pairs where beta is within eta of a best reply gives
-kappa_eta(lambda); at eta = 0 the two directions clamp the complete-information
-equilibrium payoff set from above and below.
+Supremum of lambda z over pairs where beta is a best reply (ties within
+``BR_TIE_TOL``) gives kappa(lambda); the two directions clamp the
+complete-information equilibrium payoff set from above and below.
 
 The score program sees alpha only through supp(alpha). ``kappa`` collects the
 distinct (supp(alpha), beta) programs of its lattice in one array pass over
@@ -57,6 +57,8 @@ __all__ = [
 BR_TIE_TOL = 1e-9      # payoff ties below this are treated as exact
 SUPPORT_CUTOFF = 1e-9  # mass below this does not count as support
 BETA_SUBGRID = 1e-2    # lattice spacing of the mixed short-run replies kappa tries
+_VERTEX_TOL = 1e-12    # a sub-grid reply this close to a vertex is the pure reply
+MIXED_REPLY_MARGIN = 1e-9  # kappa warns when a mixed reply beats every pure one by more
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +78,8 @@ class PayoffSetResult:
     grid_resolution: float
 
 
-def br2(game: StageGame, q: Distribution, *, tol: float = BR_TIE_TOL) -> tuple[str, ...]:
-    """Short-run best replies to a signal distribution, ties within ``tol``.
+def br2(game: StageGame, q: Distribution) -> tuple[str, ...]:
+    """Short-run best replies to a signal distribution, ties within ``BR_TIE_TOL``.
 
     The reply maximizes the signal-measurable payoff sum_y q(y) v_tilde(b, y);
     when q = rho_alpha this coincides with the ex-ante best reply to alpha.
@@ -86,7 +88,7 @@ def br2(game: StageGame, q: Distribution, *, tol: float = BR_TIE_TOL) -> tuple[s
         raise ValueError(f"br2: expected signal labels {game.signals}, got {q.labels}")
     vals = game.v_tilde @ q.weights
     top = float(vals.max())
-    return tuple(b for b, val in zip(game.actions_short, vals) if val >= top - tol)
+    return tuple(b for b, val in zip(game.actions_short, vals) if val >= top - BR_TIE_TOL)
 
 
 def optimality_loss(game: StageGame, alpha: Distribution, beta: Distribution) -> float:
@@ -237,35 +239,33 @@ def _admissible_betas(keep: np.ndarray, n_b: int) -> list[tuple[np.ndarray, bool
     out = [(w, False) for w in pure]
     if len(keep) >= 2:
         mix = simplex_lattice(len(keep), BETA_SUBGRID)
-        mix = mix[~np.any(np.abs(mix - 1.0) < 1e-12, axis=1)]  # vertices already listed as pure
+        mix = mix[~np.any(np.abs(mix - 1.0) < _VERTEX_TOL, axis=1)]  # vertices listed as pure
         mixed = np.zeros((len(mix), n_b))
         mixed[:, keep] = mix
         out.extend((w, True) for w in _normalized(mixed))
     return out
 
 
-def kappa(game: StageGame, direction: int, eta: float, grid: float) -> float:
-    """sup of lambda z* over gridded pairs with an eta-admissible short-run reply.
+def kappa(game: StageGame, direction: int, grid: float) -> float:
+    """sup of lambda z* over gridded pairs with a best reply (ties: ``BR_TIE_TOL``).
 
     Returns -inf when no admissible pair is feasible. The score program sees
     alpha only through its support, and the admissible replies depend on
-    alpha only through which pure replies are within eta of the best. So one
+    alpha only through which pure replies are best. So one
     array pass over the lattice gives every point's (support, reply mask)
     row; the replies of each distinct mask are listed once, and the distinct
     (supp(alpha), beta) programs, in order of first appearance along the
     lattice, are solved together in one LP. Mixed replies enter only through
-    the coarse sub-lattice; a warning is raised if one strictly beats every
-    pure reply, since that signals the sub-grid actually matters.
+    the coarse sub-lattice; a warning is raised if one beats every pure reply
+    by more than ``MIXED_REPLY_MARGIN``, since then the sub-grid matters.
     """
     if direction not in (+1, -1):
         raise ValueError(f"kappa: direction must be +1 or -1, got {direction!r}")
-    if eta < 0.0:
-        raise ValueError(f"kappa: eta must be >= 0, got {eta!r}")
     n_b = len(game.actions_short)
     alpha = _normalized(simplex_lattice(len(game.actions_long), grid))
     supp = alpha > SUPPORT_CUTOFF
     rows = (alpha[:, None, :] @ game.v)[:, 0, :]  # alpha_w @ v, point by point
-    keep = rows.max(axis=1, keepdims=True) - rows <= eta + BR_TIE_TOL
+    keep = rows.max(axis=1, keepdims=True) - rows <= BR_TIE_TOL
     _, first = np.unique(np.hstack([supp, keep]), axis=0, return_index=True)
     betas: dict[bytes, list[tuple[np.ndarray, bool]]] = {}
     programs: dict[tuple[bytes, bytes], tuple[np.ndarray, np.ndarray, bool]] = {}
@@ -290,9 +290,9 @@ def kappa(game: StageGame, direction: int, eta: float, grid: float) -> float:
             best = score
         if not is_mixed and score > best_pure:
             best_pure = score
-    if best > best_pure + 1e-9:
+    if best > best_pure + MIXED_REPLY_MARGIN:
         warnings.warn(
-            f"kappa(direction={direction}, eta={eta}): a mixed short-run reply beat every "
+            f"kappa(direction={direction}): a mixed short-run reply beat every "
             f"pure one by {best - best_pure:.3e}; the 1e-2 reply sub-grid is load-bearing",
             RuntimeWarning,
             stacklevel=2,
@@ -306,8 +306,8 @@ def ci_payoff_set(game: StageGame, grid: float) -> PayoffSetResult:
     hi caps payoffs using the downward half-space score, lo symmetric; both are
     intersected with the raw payoff range. A warning is raised when lo > hi.
     """
-    k_plus = kappa(game, +1, 0.0, grid)
-    k_minus = kappa(game, -1, 0.0, grid)
+    k_plus = kappa(game, +1, grid)
+    k_minus = kappa(game, -1, grid)
     u_min, u_max = game.u_range
     lo = max(u_min, -k_minus)
     hi = min(u_max, k_plus)

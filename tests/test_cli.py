@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,11 +45,42 @@ def ce_config(tmp_path):
     return str(path)
 
 
+SCENARIO_LIST = """\
+product_choice(p, q, epsilon, mu0=0.5)
+three_signal(p, q, r, epsilon, x, mu0=0.5)
+counter_example(p, q, epsilon, x, mu0=0.5)
+normal_misspec()
+"""
+
+
 def test_scenario_list(capsys):
+    # the registry reads each constructor's signature; the listing is pinned
     code, out, _ = run(capsys, "scenario", "list")
     assert code == 0
-    assert "product_choice(p, q, epsilon, mu0=0.5)" in out
-    assert "normal_misspec()" in out
+    assert out == SCENARIO_LIST
+
+
+def test_readme_scenario_signatures_match_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Scenarios\n", 1)[1].split("\n## ", 1)[0]
+    for line in SCENARIO_LIST.splitlines():
+        if line != "normal_misspec()":  # its constructor is normal_misspec_scenario()
+            assert f"* `{line}`" in section, line
+
+
+@pytest.mark.parametrize("name, params, echoed", [
+    ("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15},
+     {"p": 0.6, "q": 0.3, "epsilon": 0.15, "mu0": 0.5}),
+    ("three_signal", {"x": 0.7, "p": 0.6, "q": 0.3, "r": 0.1, "epsilon": 0, "mu0": 0.25},
+     {"p": 0.6, "q": 0.3, "r": 0.1, "epsilon": 0.0, "x": 0.7, "mu0": 0.25}),
+    ("counter_example", {"p": 0.6, "q": 0.3, "epsilon": 0.05, "x": 0.55},
+     {"p": 0.6, "q": 0.3, "epsilon": 0.05, "x": 0.55, "mu0": 0.5}),
+    ("normal_misspec", {}, {}),
+])
+def test_emit_echoes_every_parameter_in_signature_order(name, params, echoed):
+    doc = emit_scenario_document(name, params)["scenario"]
+    assert doc == {"name": name, "params": echoed}
+    assert json.dumps(doc) == json.dumps({"name": name, "params": echoed})
 
 
 def test_scenario_emit_stdout(capsys):

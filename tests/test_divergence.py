@@ -503,6 +503,15 @@ def test_find_alpha_star_takes_first_member_in_framework_order(game06):
         assert find_alpha_star(noisy)[0] == models[0]
 
 
+def test_find_alpha_star_takes_a_member_whatever_its_kl(game06):
+    # attainability is the LP's verdict: a member whose projection stopped at
+    # KL 5e-8 (below EQUIV_TOL, so separation_value accepts it) is alpha*
+    witness = Distribution(game06.actions_long, [0.5, 0.5])
+    rep = SeparationReport(5e-8, witness, "m0", {"m0": True}, {"m0": witness}, {"m0": 5e-8})
+    assert not rep.separating
+    assert find_alpha_star(rep) == ("m0", witness)
+
+
 def test_find_alpha_star_none_when_separating(game06, fw06):
     assert find_alpha_star(separation_value(fw06, game06.rho)) is None
 

@@ -125,27 +125,15 @@ def test_verify_certificate_flags_tampering(game09):
 
 def test_kappa_frozen_values(game09, game06):
     # optima sit at pure action profiles, so a coarse grid is exact
-    assert kappa(game09, +1, 0.0, 0.05) == pytest.approx(1.8, abs=1e-9)
-    assert kappa(game09, -1, 0.0, 0.05) == pytest.approx(-1.0, abs=1e-9)
-    assert kappa(game06, +1, 0.0, 0.05) == pytest.approx(1.0, abs=1e-9)
-    assert kappa(game06, -1, 0.0, 0.05) == pytest.approx(-1.0, abs=1e-9)
-
-
-def test_kappa_rejects_negative_eta(game09):
-    with pytest.raises(ValueError, match="eta"):
-        kappa(game09, +1, -0.1, 0.1)
+    assert kappa(game09, +1, 0.05) == pytest.approx(1.8, abs=1e-9)
+    assert kappa(game09, -1, 0.05) == pytest.approx(-1.0, abs=1e-9)
+    assert kappa(game06, +1, 0.05) == pytest.approx(1.0, abs=1e-9)
+    assert kappa(game06, -1, 0.05) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_kappa_direction_validation(game09):
     with pytest.raises(ValueError, match="direction"):
-        kappa(game09, 0, 0.0, 0.1)
-
-
-def test_kappa_monotone_in_eta(game09):
-    # widening the admissible-reply set can only raise a supremum
-    k0 = kappa(game09, +1, 0.0, 0.1)
-    k1 = kappa(game09, +1, 0.5, 0.1)
-    assert k1 >= k0 - 1e-12
+        kappa(game09, 0, 0.1)
 
 
 def test_ci_payoff_set(game09, game06):
@@ -317,7 +305,7 @@ def test_reputation_lower_bound(game06):
     assert reputation_lower_bound(game06, tie) == pytest.approx(0.5, abs=1e-12)
 
 
-def _programs_per_point(game, eta, grid):
+def _programs_per_point(game, grid):
     """kappa's score programs collected one lattice point at a time (test-only reference)."""
     programs = {}
     n_b = len(game.actions_short)
@@ -325,7 +313,7 @@ def _programs_per_point(game, eta, grid):
         alpha_w = alpha_w / float(alpha_w.sum())
         supp = alpha_w > SUPPORT_CUTOFF
         row = alpha_w @ game.v
-        keep = np.flatnonzero(row.max() - row <= eta + BR_TIE_TOL)
+        keep = np.flatnonzero(row.max() - row <= BR_TIE_TOL)
         betas = []
         for j in keep:
             w = np.zeros(n_b)
@@ -364,15 +352,13 @@ def _tie_game():
                      np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), rho)
 
 
-@pytest.mark.parametrize("make, eta, grid", [
-    (lambda: product_choice(0.9, 0.4, 0.0)[0], 0.0, 1e-2),
-    (lambda: product_choice(0.6, 0.3, 0.1)[0], 0.3, 0.05),
-    (_mixed_feasibility_game, 0.0, 0.1),
-    (_four_action_game, 0.0, 0.1),
-    (_four_action_game, 0.2, 0.2),
-    (_tie_game, 0.0, 0.05),
-], ids=["product_choice", "eta", "mixed_feasibility", "four_actions", "four_actions_eta", "tie"])
-def test_kappa_collects_the_per_point_programs_in_order(monkeypatch, make, eta, grid):
+@pytest.mark.parametrize("make, grid", [
+    (lambda: product_choice(0.9, 0.4, 0.0)[0], 1e-2),
+    (_mixed_feasibility_game, 0.1),
+    (_four_action_game, 0.1),
+    (_tie_game, 0.05),
+], ids=["product_choice", "mixed_feasibility", "four_actions", "tie"])
+def test_kappa_collects_the_per_point_programs_in_order(monkeypatch, make, grid):
     game = make()
     batches = []
 
@@ -381,10 +367,10 @@ def test_kappa_collects_the_per_point_programs_in_order(monkeypatch, make, eta, 
         return [ScoreResult(False, None, None, direction)] * len(programs)
 
     monkeypatch.setattr(repgame.scores, "_solve_scores", record)
-    assert kappa(game, +1, eta, grid) == -np.inf
+    assert kappa(game, +1, grid) == -np.inf
     programs, = batches
     keys = [(supp.tobytes(), beta_w.tobytes()) for supp, beta_w in programs]
-    assert keys == _programs_per_point(game, eta, grid)
+    assert keys == _programs_per_point(game, grid)
 
 
 def _stackelberg_per_point(game, grid, pure=False):
@@ -425,7 +411,7 @@ def test_score_blocks_match_block_diag(monkeypatch):
     batches = _record_batches(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        kappa(game, -1, 0.0, 0.1)
+        kappa(game, -1, 0.1)
     (programs, _, _), = batches
     R = game.rho.matrix
     rows = repgame.scores._score_rows(game, programs)
