@@ -671,7 +671,7 @@ def discounted_kl_certificate(batch: BatchResult, framework: Framework,
         raise ValueError("certificate needs a batch recorded with alpha_star_target set")
     actual = framework.commitment_action if cfg.true_type == "commitment" else cfg.normal_strategy
     if not isinstance(actual, Distribution) or not np.allclose(
-            actual.weights, cfg.alpha_star_target.weights, atol=SAME_STRATEGY_ATOL):
+            actual.weights, cfg.alpha_star_target.weights, rtol=0.0, atol=SAME_STRATEGY_ATOL):
         raise ValueError(
             "certificate applies to persistent target play; the simulated strategy "
             "is not stationary at alpha_star_target")
@@ -758,7 +758,8 @@ def azuma_diagnostic(batch: BatchResult, game: StageGame, framework: Framework,
         raise ValueError("drift analysis assumes correctly specified normal hypotheses")
     conj = _conjecture(cfg)
     if not (isinstance(conj, Distribution) and isinstance(cfg.normal_strategy, Distribution)
-            and np.allclose(conj.weights, cfg.normal_strategy.weights, atol=SAME_STRATEGY_ATOL)):
+            and np.allclose(conj.weights, cfg.normal_strategy.weights, rtol=0.0,
+                            atol=SAME_STRATEGY_ATOL)):
         raise ValueError("drift analysis needs a stationary, correctly conjectured strategy")
 
     T = batch.horizon

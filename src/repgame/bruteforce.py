@@ -6,10 +6,10 @@ closed-form distances, and they call into nothing but raw array math. One
 generator walks the lattice, as weight columns in chunks of whole runs.
 ``simplex_lattice`` takes it as one chunk: an ``(N, n)`` array that the score
 programs and the Stackelberg search in ``scores`` walk too, so
-``LATTICE_CAP`` bounds its size: a finer lattice is a ``LatticeCapError`` (a
-``ValueError``), not a ``MemoryError``. The oracles need no cap: their
-objectives are convex along each run, so they bisect every run for its first
-minimizer and evaluate O(runs * log k) points, not the whole lattice.
+``LATTICE_CAP`` bounds its size: a finer lattice is a ``ValueError``, not a
+``MemoryError``. The oracles need no cap: their objectives are convex along
+each run, so they bisect every run for its first minimizer and evaluate
+O(runs * log k) points, not the whole lattice.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from math import comb
 
 import numpy as np
 
-__all__ = ["LATTICE_CAP", "LatticeCapError", "check_lattice", "grid_min_kl_forward",
-           "grid_min_kl_reverse", "lattice_size", "lattice_steps", "simplex_lattice"]
+__all__ = ["LATTICE_CAP", "check_lattice", "grid_min_kl_forward", "grid_min_kl_reverse",
+           "lattice_size", "lattice_steps", "simplex_lattice"]
 
 LATTICE_CAP = 2**21  # most points simplex_lattice builds (2,097,152)
 _STEPS_TOL = 1e-9  # a resolution divides 1 when 1/resolution steps land this close to 1
@@ -46,19 +46,14 @@ def lattice_size(n: int, resolution: float) -> int:
     return comb(lattice_steps(resolution) + n - 1, n - 1)
 
 
-class LatticeCapError(ValueError):
-    """A valid lattice with more than ``LATTICE_CAP`` points."""
-
-
 def check_lattice(n: int, resolution: float) -> int:
     """Steps k of the n-action lattice; ValueError unless ``resolution`` is
-    valid, and LatticeCapError if the lattice has more than ``LATTICE_CAP``
-    points."""
+    valid and the lattice has at most ``LATTICE_CAP`` points."""
     k = lattice_steps(resolution)
     size = lattice_size(n, resolution)
     if size > LATTICE_CAP:
-        raise LatticeCapError(f"the lattice of {n} actions at resolution {resolution!r} has "
-                              f"{size:,} points, above the cap of {LATTICE_CAP:,}")
+        raise ValueError(f"the lattice of {n} actions at resolution {resolution!r} has "
+                         f"{size:,} points, above the cap of {LATTICE_CAP:,}")
     return k
 
 

@@ -18,7 +18,7 @@ import secrets
 import sys
 
 from .beliefs import TrajectoryRecord, monte_carlo
-from .bruteforce import LatticeCapError, check_lattice
+from .bruteforce import check_lattice
 from .configio import (ConfigError, ExperimentConfig, dump_document,
                        emit_scenario_document, load_config)
 from .divergence import find_alpha_star, separation_value
@@ -252,9 +252,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, LatticeCapError) as exc:
-        # LatticeCapError: a lattice an answer needs, such as kappa's
-        # mixed-reply lattice over many tied replies, is too big to list
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -30,7 +30,6 @@ __all__ = [
 _SUM_TOL = 1e-9
 # Negative dust below this magnitude is clipped to 0; anything worse is rejected.
 _NEG_DUST = -1e-12
-_ALLCLOSE_ATOL = 1e-12  # Distribution.allclose: weights equal within this, coordinatewise
 
 
 def _as_prob_vector(weights, n: int, what: str) -> np.ndarray:
@@ -98,11 +97,6 @@ class Distribution:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def allclose(self, other: "Distribution") -> bool:
-        return self.labels == other.labels and bool(
-            np.allclose(self.weights, other.weights, rtol=0.0, atol=_ALLCLOSE_ATOL)
-        )
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"{l}: {w:.6g}" for l, w in zip(self.labels, self.weights))

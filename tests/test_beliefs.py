@@ -291,6 +291,20 @@ def test_certificate_requires_persistent_target_play(game06, fw06):
         discounted_kl_certificate(batch, fw06, "m0")
 
 
+def test_certificate_rejects_play_just_off_the_target():
+    # 3.2e-6 off alpha_star_target in each weight: far above SAME_STRATEGY_ATOL,
+    # though within a 1e-5 relative tolerance of the target weights
+    game, fw = counter_example(0.6, 0.3, 0.05, 0.55)
+    x_eps = 0.55 * (1.0 + 0.05 / 0.3)
+    alpha_star = Distribution(game.actions_long, [x_eps, 1.0 - x_eps])
+    played = Distribution(game.actions_long, [x_eps + 3.2e-6, 1.0 - x_eps - 3.2e-6])
+    cfg = SimulationConfig(delta=0.99, master_seed=7, runs=4, horizon=50,
+                           normal_strategy=played, alpha_star_target=alpha_star)
+    batch = simulate_batch(game, fw, cfg)
+    with pytest.raises(ValueError, match="persistent target play"):
+        discounted_kl_certificate(batch, fw, "m0")
+
+
 def azuma_batch():
     game, fw = product_choice(0.6, 0.3, 0.15)
     a_l = Distribution(game.actions_long, [0.0, 1.0])

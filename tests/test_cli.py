@@ -290,9 +290,9 @@ def test_lattice_above_cap_is_a_config_error(capsys, monkeypatch, tmp_path, comm
     assert "Traceback" not in err
 
 
-def test_mixed_reply_lattice_above_cap_is_a_config_error(capsys, tmp_path):
-    # five short-run replies with equal signal payoffs are tied at every alpha,
-    # so kappa would list the mixtures of all five on its 1e-2 sub-grid
+def test_five_tied_replies_answer(capsys, tmp_path):
+    # five short-run replies with equal signal payoffs are tied at every alpha;
+    # each score program takes the reply as variables over all five
     doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
     game = doc["game"]
     game["actions_short"] = [f"b{i}" for i in range(5)]
@@ -301,10 +301,9 @@ def test_mixed_reply_lattice_above_cap_is_a_config_error(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     dump_document(doc, path)
     code, out, err = run(capsys, "bounds", "--config", str(path), "--grid", "0.1")
-    assert code == 2
-    assert out == ""
-    assert "config error" in err and "4,598,126 points" in err
-    assert "Traceback" not in err
+    assert code == 0, err
+    report = json.loads(out)
+    assert (report["kappa_plus"], report["kappa_minus"]) == (3.0, -1.0)
 
 
 @pytest.mark.parametrize("block, key, value", [

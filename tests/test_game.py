@@ -42,13 +42,6 @@ def test_distribution_weights_are_frozen():
         d.weights[0] = 0.9
 
 
-def test_allclose_requires_matching_labels():
-    a = Distribution.uniform(("x", "y"))
-    b = Distribution.uniform(("y", "x"))
-    assert a.allclose(a)
-    assert not a.allclose(b)
-
-
 def test_signal_structure_requires_full_support():
     with pytest.raises(ValueError, match="full support"):
         SignalStructure(("a",), ("y0", "y1"), np.array([[1.0, 0.0]]))

@@ -3,7 +3,8 @@
 ``repgame.lp.linprog`` hands HiGHS the model that linprog builds. On a
 corpus of the programs repgame solves (every batch and half-batch ``kappa``
 makes on four games, and hull phase-1 programs of member and non-member
-slices) the matrix it passes equals the one linprog stacks, and status, x,
+slices) the matrix it passes equals the one linprog stacks (for score
+programs, the ``block_diag`` of their blocks), and status, x,
 objective and duals are equal to linprog's, bit for bit. The HiGHS core
 ``repgame.lp`` loads by file path is the module scipy's own import returns,
 and no answer imports ``scipy.optimize``. A scipy upgrade that moves or
@@ -35,7 +36,7 @@ from repgame.game import Distribution, SignalStructure
 from repgame.lp import CHECK_TOL, _passes_check, linprog
 from repgame.scenarios import product_choice, three_signal
 from repgame.scores import ci_payoff_set
-from test_scores import _infeasible_game, _mixed_feasibility_game
+from test_scores import _always_tied_game, _infeasible_game, _mixed_feasibility_game
 
 
 def _assert_same_solution(res, ref, n_ub):
@@ -57,28 +58,23 @@ def _assert_same_matrix(A, ref):
 
 
 def _record_score_lps(monkeypatch):
-    """Every score LP: its programs, direction, the arguments handed to the
-    entry point and its result."""
+    """Every score LP, halves included: its game, programs (support masks and
+    reply bounds), direction, the arguments handed to the entry point and its
+    result."""
     calls = []
-    real_scores, real_range = repgame.scores._solve_scores, repgame.scores._solve_range
-    real_lp = repgame.scores.linprog
-    batch = []
+    real_scores, real_lp = repgame.scores._solve_scores, repgame.scores.linprog
 
-    def solve_scores(game, programs, direction):
-        batch[:] = [game, programs]
-        return real_scores(game, programs, direction)
+    def solve_scores(game, supp, beta_lb, beta_ub, direction):
+        calls.append({"game": game, "supp": supp, "beta_lb": beta_lb, "beta_ub": beta_ub,
+                      "direction": direction})
+        return real_scores(game, supp, beta_lb, beta_ub, direction)
 
-    def solve_range(rows, lo, hi, direction):
-        calls.append({"game": batch[0], "programs": batch[1][lo:hi], "direction": direction})
-        return real_range(rows, lo, hi, direction)
-
-    def lp(*args):
+    def lp(*args):  # each solve makes its LP before it halves
         res = real_lp(*args)
         calls[-1].update(args=args, res=res)
         return res
 
     monkeypatch.setattr(repgame.scores, "_solve_scores", solve_scores)
-    monkeypatch.setattr(repgame.scores, "_solve_range", solve_range)
     monkeypatch.setattr(repgame.scores, "linprog", lp)
     return calls
 
@@ -88,38 +84,47 @@ def _record_score_lps(monkeypatch):
     (lambda: three_signal(0.6, 0.3, 0.1, 0.02, 0.55)[0], 1e-2),
     (_infeasible_game, 0.1),
     (_mixed_feasibility_game, 0.1),
-], ids=["product_choice", "three_signal", "infeasible", "mixed_feasibility"])
+    (_always_tied_game, 0.1),
+], ids=["product_choice", "three_signal", "infeasible", "mixed_feasibility", "always_tied"])
 def test_score_lps_match_scipy_linprog(monkeypatch, make, grid):
+    # program p's columns are [z, x(y), beta(b)]; its rows [1, -rho(.|a), -u(a, .)]
+    # are equalities on its support and negated inequalities off it, and its
+    # last equality row is sum(beta) = 1
     game = make()
     calls = _record_score_lps(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         ci_payoff_set(game, grid)
-    R = game.rho.matrix
+    R, u = game.rho.matrix, game.u
+    n_y, n_b = R.shape[1], u.shape[1]
     statuses = []
     for call in calls:
-        supps = [supp for supp, _ in call["programs"]]
-        u_beta = [game.u @ beta_w for _, beta_w in call["programs"]]
-        A_eq = block_diag([np.hstack([np.ones((int(s.sum()), 1)), -R[s]]) for s in supps],
-                          format="csc")
-        b_eq = np.concatenate([u[s] for u, s in zip(u_beta, supps)])
+        supps = list(call["supp"])
+        beta_row = np.concatenate([np.zeros(1 + n_y), np.ones(n_b)])
+        A_eq = block_diag([np.vstack([np.hstack([np.ones((int(s.sum()), 1)), -R[s], -u[s]]),
+                                      beta_row]) for s in supps], format="csc")
+        b_eq = np.concatenate([np.append(np.zeros(int(s.sum())), 1.0) for s in supps])
         off = [~s for s in supps]
         A_ub, b_ub = None, None
         if any(o.any() for o in off):
-            A_ub = block_diag([np.hstack([-np.ones((int(o.sum()), 1)), R[o]]) for o in off],
+            A_ub = block_diag([np.hstack([-np.ones((int(o.sum()), 1)), R[o], u[o]]) for o in off],
                               format="csc")
-            b_ub = np.concatenate([-u[o] for u, o in zip(u_beta, off)])
+            b_ub = np.zeros(A_ub.shape[0])
         x_bound = (-np.inf, 0.0) if call["direction"] == +1 else (0.0, np.inf)
-        bounds = np.array([(-np.inf, np.inf)] + [x_bound] * R.shape[1])
-        c = np.zeros(1 + R.shape[1])
-        c[0] = -float(call["direction"])
-        k = len(supps)
-        ref = scipy_linprog(np.tile(c, k), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                            bounds=np.tile(bounds, (k, 1)), method="highs")
+        bounds = np.concatenate([
+            np.tile([(-np.inf, np.inf)] + [x_bound] * n_y, (len(supps), 1, 1)),
+            np.stack([call["beta_lb"], call["beta_ub"]], axis=2)], axis=1).reshape(-1, 2)
+        c = np.zeros((len(supps), 1 + n_y + n_b))
+        c[:, 0] = -float(call["direction"])
+        ref = scipy_linprog(c.ravel(), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                            bounds=bounds, method="highs")
         args = call["args"]
+        assert args[0].tobytes() == c.ravel().tobytes()
         _assert_same_matrix(args[1], A_eq if A_ub is None else vstack((A_ub, A_eq), format="csc"))
         assert args[2].tobytes() == (np.empty(0) if b_ub is None else b_ub).tobytes()
         assert args[3].tobytes() == b_eq.tobytes()
+        assert args[4].tobytes() == bounds[:, 0].tobytes()
+        assert args[5].tobytes() == bounds[:, 1].tobytes()
         _assert_same_solution(call["res"], ref, len(args[2]))
         statuses.append(ref.status)
     if make in (_infeasible_game, _mixed_feasibility_game):

@@ -13,13 +13,12 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.sparse import block_diag, vstack
 
 import repgame.scores
 from repgame.bruteforce import simplex_lattice
 from repgame.game import Distribution, StageGame, SignalStructure, mix_signal_dist
 from repgame.scenarios import product_choice, three_signal
-from repgame.scores import (BETA_SUBGRID, BR_TIE_TOL, SUPPORT_CUTOFF, ScoreResult, br2,
+from repgame.scores import (BR_TIE_TOL, SUPPORT_CUTOFF, ScoreResult, br2,
                             ci_payoff_set, kappa, kstar, optimality_loss,
                             reputation_lower_bound, stackelberg, verify_certificate)
 
@@ -149,17 +148,18 @@ def test_ci_payoff_set(game09, game06):
 
 
 def _record_batches(monkeypatch):
-    """Record every (programs, direction, results) batch kappa solves, not its halves."""
+    """Record every (programs, direction, results) batch kappa solves, not its
+    halves; a program is (support mask, reply lower bounds, reply upper bounds)."""
     batches = []
     depth = []
     real = repgame.scores._solve_scores
 
-    def recording(game, programs, direction):
+    def recording(game, supp, beta_lb, beta_ub, direction):
         depth.append(1)
-        results = real(game, programs, direction)
+        results = real(game, supp, beta_lb, beta_ub, direction)
         depth.pop()
         if not depth:
-            batches.append((programs, direction, results))
+            batches.append((list(zip(supp, beta_lb, beta_ub)), direction, results))
         return results
 
     monkeypatch.setattr(repgame.scores, "_solve_scores", recording)
@@ -179,34 +179,37 @@ def _count_linprog(monkeypatch):
 
 
 def test_ci_payoff_set_solves_each_score_program_once(monkeypatch):
-    # the score program sees alpha only through its support: 206 distinct
-    # programs on this lattice, all feasible, solved in one LP per direction
+    # one program per distinct (support, best-reply set) of the lattice: the
+    # supports {a_h}, {a_l} and both, the mixed support with either reply and
+    # with both at the tie point; all feasible, one LP per direction
     batches = _record_batches(monkeypatch)
     lp_calls = _count_linprog(monkeypatch)
     game, _ = product_choice(0.9, 0.4, 0.0)
     ps = ci_payoff_set(game, 1e-3)
-    keys = [(supp.tobytes(), beta_w.tobytes(), direction)
-            for programs, direction, _ in batches for supp, beta_w in programs]
-    assert len(keys) == len(set(keys)) == 206
+    keys = [(supp.tobytes(), ub.tobytes(), direction)
+            for programs, direction, _ in batches for supp, _, ub in programs]
+    assert len(keys) == len(set(keys)) == 10
     assert sorted(direction for _, direction, _ in batches) == [-1, +1]
     assert len(lp_calls) == 2
     assert (ps.kappa_plus, ps.kappa_minus, ps.lo, ps.hi) == (1.8, -1.0, 1.0, 1.8)
 
 
-def _dense_score(game, supp, beta_w, direction):
-    """The score program as one dense linprog call per program (test-only reference)."""
-    R = game.rho.matrix
-    n_y = R.shape[1]
-    u_beta = game.u @ beta_w
+def _dense_score(game, supp, beta_lb, beta_ub, direction):
+    """The score program with reply variables, as one dense linprog call
+    (test-only reference); beta_lb == beta_ub pins the reply."""
+    R, u = game.rho.matrix, game.u
+    n_y, n_b = R.shape[1], u.shape[1]
     off = ~supp
-    A_eq = np.hstack([np.ones((int(supp.sum()), 1)), -R[supp]])
-    A_ub = np.hstack([-np.ones((int(off.sum()), 1)), R[off]])
+    A_eq = np.vstack([np.hstack([np.ones((int(supp.sum()), 1)), -R[supp], -u[supp]]),
+                      np.concatenate([np.zeros(1 + n_y), np.ones(n_b)])])
+    b_eq = np.concatenate([np.zeros(int(supp.sum())), [1.0]])
+    A_ub = np.hstack([-np.ones((int(off.sum()), 1)), R[off], u[off]])
     x_bound = (None, 0.0) if direction == +1 else (0.0, None)
-    c = np.zeros(1 + n_y)
+    c = np.zeros(1 + n_y + n_b)
     c[0] = -float(direction)
-    return linprog(c, A_ub=A_ub if off.any() else None, b_ub=-u_beta[off] if off.any() else None,
-                   A_eq=A_eq, b_eq=u_beta[supp], bounds=[(None, None)] + [x_bound] * n_y,
-                   method="highs")
+    bounds = [(None, None)] + [x_bound] * n_y + list(zip(beta_lb, beta_ub))
+    return linprog(c, A_ub=A_ub if off.any() else None, b_ub=np.zeros(int(off.sum())),
+                   A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
 
 
 def _infeasible_game():
@@ -218,7 +221,7 @@ def _infeasible_game():
 
 
 def _mixed_feasibility_game():
-    # 317 programs a direction at grid 0.1, 15 of them infeasible, most with mixed replies
+    # programs with two best replies at grid 0.1, some of them infeasible
     acts, sig = ("a0", "a1", "a2"), ("y0", "y1")
     rho = SignalStructure(acts, sig, np.array([[0.49, 0.51], [0.62, 0.38], [0.25, 0.75]]))
     return StageGame(acts, ("b0", "b1"), sig, np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 2.0]]),
@@ -236,19 +239,20 @@ def test_score_batch_matches_solo_solves(monkeypatch, make, grid, infeasible):
     batches = _record_batches(monkeypatch)
     lp_calls = _count_linprog(monkeypatch)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # mixed-reply and empty-bracket notes
+        warnings.simplefilter("ignore", RuntimeWarning)  # empty-bracket note
         ci_payoff_set(game, grid)
     assert len(batches) == 2
     n_infeasible = 0
     for programs, direction, results in batches:
         assert len(results) == len(programs)
-        for (supp, beta_w), res in zip(programs, results):
-            ref = _dense_score(game, supp, beta_w, direction)
+        for (supp, beta_lb, beta_ub), res in zip(programs, results):
+            ref = _dense_score(game, supp, beta_lb, beta_ub, direction)
             assert ref.status in (0, 2)
             assert res.feasible == (ref.status == 0)
             if res.feasible:
                 assert res.z == ref.x[0]
-                assert np.allclose(res.offsets, ref.x[1:], rtol=0.0, atol=1e-9)
+                assert np.allclose(res.offsets, ref.x[1:1 + game.rho.matrix.shape[1]],
+                                   rtol=0.0, atol=1e-9)
             n_infeasible += not res.feasible
     if infeasible == "none":
         assert n_infeasible == 0 and len(lp_calls) == 2
@@ -259,15 +263,19 @@ def test_score_batch_matches_solo_solves(monkeypatch, make, grid, infeasible):
         assert len(lp_calls) > 2
 
 
-def test_ci_payoff_set_warns_on_empty_bracket():
-    # a three-action game without a pure stage equilibrium: at grid 0.1 the
-    # upward score puts lo at 4.317, above the downward cap hi = 2.833
+def _empty_bracket_game():
+    # a three-action game without a pure stage equilibrium
     acts, sig = ("a0", "a1", "a2"), ("y0", "y1", "y2")
     rho = SignalStructure(acts, sig, np.array([[0.2, 0.24, 0.56], [0.65, 0.1, 0.25],
                                                [0.83, 0.09, 0.08]]))
-    game = StageGame(acts, ("b0", "b1", "b2"), sig,
+    return StageGame(acts, ("b0", "b1", "b2"), sig,
                      np.array([[0.0, 4.0, 4.0], [3.0, 0.0, 3.0], [3.0, 3.0, 3.0]]),
                      np.array([[2.0, 1.0, 4.0], [4.0, 3.0, 1.0], [2.0, 2.0, 0.0]]), rho)
+
+
+def test_ci_payoff_set_warns_on_empty_bracket():
+    # at grid 0.1 the upward score puts lo at 4.317, above the downward cap hi = 2.833
+    game = _empty_bracket_game()
     with pytest.warns(RuntimeWarning, match=r"empty bracket, lo 4\.317\d* > hi 2\.833"):
         ps = ci_payoff_set(game, 0.1)
     assert ps.lo == pytest.approx(4.317, abs=1e-3)
@@ -306,7 +314,25 @@ def test_reputation_lower_bound(game06):
 
 
 def _programs_per_point(game, grid):
-    """kappa's score programs collected one lattice point at a time (test-only reference)."""
+    """kappa's (support, best-reply mask) programs collected one lattice point
+    at a time, in order of first appearance (test-only reference)."""
+    programs = {}
+    for alpha_w in simplex_lattice(len(game.actions_long), grid):
+        alpha_w = alpha_w / float(alpha_w.sum())
+        row = alpha_w @ game.v
+        programs.setdefault(((alpha_w > SUPPORT_CUTOFF).tobytes(),
+                             (row.max() - row <= BR_TIE_TOL).tobytes()), None)
+    return list(programs)
+
+
+SUBGRID = 1e-2  # spacing of the mixed replies the sub-grid reference lists
+
+
+def _subgrid_programs_per_point(game, grid):
+    """The (support, reply) programs of an earlier kappa, which listed every
+    pure best reply and a 1e-2 lattice of their mixtures instead of making the
+    reply a variable: (support mask, reply weights, properly mixed) triples,
+    collected one lattice point at a time (test-only reference)."""
     programs = {}
     n_b = len(game.actions_short)
     for alpha_w in simplex_lattice(len(game.actions_long), grid):
@@ -314,22 +340,14 @@ def _programs_per_point(game, grid):
         supp = alpha_w > SUPPORT_CUTOFF
         row = alpha_w @ game.v
         keep = np.flatnonzero(row.max() - row <= BR_TIE_TOL)
-        betas = []
-        for j in keep:
+        mixes = simplex_lattice(len(keep), SUBGRID) if len(keep) >= 2 else np.ones((1, 1))
+        for mix in mixes:
             w = np.zeros(n_b)
-            w[j] = 1.0
-            betas.append(w)
-        if len(keep) >= 2:
-            for mix in simplex_lattice(len(keep), BETA_SUBGRID):
-                if np.any(np.abs(mix - 1.0) < 1e-12):
-                    continue
-                w = np.zeros(n_b)
-                w[keep] = mix
-                w /= float(w.sum())
-                betas.append(w)
-        for beta_w in betas:
-            programs.setdefault((supp.tobytes(), beta_w.tobytes()), None)
-    return list(programs)
+            w[keep] = mix
+            w /= float(w.sum())
+            programs.setdefault((supp.tobytes(), w.tobytes()),
+                                (supp, w, not np.any(np.abs(mix - 1.0) < 1e-12)))
+    return list(programs.values())
 
 
 def _four_action_game():
@@ -362,14 +380,17 @@ def test_kappa_collects_the_per_point_programs_in_order(monkeypatch, make, grid)
     game = make()
     batches = []
 
-    def record(game, programs, direction):  # no solve: only the collection is checked
-        batches.append(programs)
-        return [ScoreResult(False, None, None, direction)] * len(programs)
+    def record(game, supp, beta_lb, beta_ub, direction):  # no solve: only the collection
+        batches.append((supp, beta_lb, beta_ub))
+        return [ScoreResult(False, None, None, direction)] * len(supp)
 
     monkeypatch.setattr(repgame.scores, "_solve_scores", record)
     assert kappa(game, +1, grid) == -np.inf
-    programs, = batches
-    keys = [(supp.tobytes(), beta_w.tobytes()) for supp, beta_w in programs]
+    (supp, beta_lb, beta_ub), = batches
+    # replies are free on the best-reply mask and pinned to 0 off it
+    assert not beta_lb.any()
+    assert np.all((beta_ub == np.inf) | (beta_ub == 0.0))
+    keys = [(s.tobytes(), (ub == np.inf).tobytes()) for s, ub in zip(supp, beta_ub)]
     assert keys == _programs_per_point(game, grid)
 
 
@@ -404,42 +425,73 @@ def test_stackelberg_matches_per_point_loop(make, grid, pure):
     assert alpha.weights.tobytes() == ref_alpha.weights.tobytes()
 
 
-def test_score_blocks_match_block_diag(monkeypatch):
-    # every batch and half-batch matrix equals [block_diag of the inequality
-    # blocks; block_diag of the equality blocks], the matrix linprog stacks
-    game = _mixed_feasibility_game()
-    batches = _record_batches(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        kappa(game, -1, 0.1)
-    (programs, _, _), = batches
-    R = game.rho.matrix
-    rows = repgame.scores._score_rows(game, programs)
-    n = len(programs)
-    for lo, hi in [(0, n), (0, n // 2), (n // 2, n), (n // 4, n // 4 + 1), (5, 37)]:
-        u_beta = [game.u @ beta_w for _, beta_w in programs[lo:hi]]
-        supps = [supp for supp, _ in programs[lo:hi]]
-        eq_blocks = [np.hstack([np.ones((int(s.sum()), 1)), -R[s]]) for s in supps]
-        ub_blocks = [np.hstack([-np.ones((int((~s).sum()), 1)), R[~s]]) for s in supps]
-        ref = vstack((block_diag(ub_blocks), block_diag(eq_blocks)), format="csc")
-        (data, indices, indptr), b_ub, b_eq = rows.take(lo, hi)
-        assert len(indptr) == ref.shape[1] + 1 and len(b_ub) + len(b_eq) == ref.shape[0]
-        for got, attr in zip((data, indices, indptr), ("data", "indices", "indptr")):
-            assert np.array_equal(got, getattr(ref, attr)), attr
-            assert got.dtype == getattr(ref, attr).dtype, attr
-        assert data.tobytes() == ref.data.tobytes()
-        assert b_ub.tobytes() == np.concatenate([-u[~s] for u, s in zip(u_beta, supps)]).tobytes()
-        assert b_eq.tobytes() == np.concatenate([u[s] for u, s in zip(u_beta, supps)]).tobytes()
+def _always_tied_game():
+    # u = [[1, 2], [2, 0]], rho = Bern(0.9)/Bern(0.4); b0 and b1 have equal
+    # signal payoffs, so both are best replies at every alpha
+    acts, sig = ("a_h", "a_l"), ("y_h", "y_l")
+    rho = SignalStructure(acts, sig, np.array([[0.9, 0.1], [0.4, 0.6]]))
+    return StageGame(acts, ("b0", "b1"), sig, np.array([[1.0, 2.0], [2.0, 0.0]]),
+                     np.array([[1.0, 0.0], [1.0, 0.0]]), rho)
+
+
+@pytest.mark.parametrize("make, grid", [
+    (lambda: product_choice(0.9, 0.4, 0.0)[0], 1e-2),
+    (_mixed_feasibility_game, 0.1),
+    (_four_action_game, 0.1),
+    (_tie_game, 0.5),
+    (_empty_bracket_game, 0.1),
+    (_always_tied_game, 0.1),
+], ids=["product_choice", "mixed_feasibility", "four_actions", "tie", "empty_bracket",
+        "always_tied"])
+@pytest.mark.parametrize("direction", [+1, -1])
+def test_kappa_dominates_the_reply_subgrid(make, grid, direction):
+    # every reply of the sub-grid reference is in its program's reply simplex,
+    # so kappa is at least every reference score; where no properly mixed
+    # reference reply beats the pure ones, the pure replies attain kappa
+    game = make()
+    best = {False: -np.inf, True: -np.inf}
+    for supp, w, mixed in _subgrid_programs_per_point(game, grid):
+        ref = _dense_score(game, supp, w, w, direction)
+        assert ref.status in (0, 2)
+        if ref.status == 0:
+            best[mixed] = max(best[mixed], direction * ref.x[0])
+    value = kappa(game, direction, grid)
+    assert value >= max(best.values()) - 1e-9
+    if best[True] <= best[False] + 1e-9:
+        assert abs(value - best[False]) <= 1e-9
+
+
+@pytest.mark.parametrize("grid", [0.1, 1e-2, 1e-3])
+def test_kappa_minus_closed_form_with_always_tied_replies(grid):
+    # With x >= 0 and support {a_h}, z = 2 - b + 0.9 x_h + 0.1 x_l and a_l's
+    # incentive needs x_h - x_l >= 2 (3b - 2), b = beta(b0); so the least z
+    # is 2 - b for b <= 2/3 and 4.4 b - 1.6 above: 4/3 at beta = (2/3, 1/3).
+    # {a_l} and the mixed support reach the same 4/3 at the same beta. No
+    # 1e-2 sub-grid reply gets below 1.34.
+    game = _always_tied_game()
+    assert abs(kappa(game, -1, grid) - (-4.0 / 3.0)) <= 1e-9
+    a_h = game.long_dist([1.0, 0.0])
+    assert kstar(game, a_h, game.short_dist([2 / 3, 1 / 3]), -1).z == pytest.approx(4 / 3, abs=1e-9)
+    for b in (0.66, 0.67):
+        assert kstar(game, a_h, game.short_dist([b, 1 - b]), -1).z >= 1.34 - 1e-9
+
+
+def test_kappa_with_four_always_tied_replies_is_fast():
+    # four replies with equal signal payoffs are tied at every alpha; a 1e-2
+    # lattice of their mixtures has 176,851 points, the reply simplex is one program
+    game06 = product_choice(0.6, 0.3, 0.15)[0]
+    game = StageGame(game06.actions_long, ("b0", "b1", "b2", "b3"), game06.signals,
+                     np.array([[2.0, 0.0, 1.0, 0.5], [3.0, 1.0, 2.0, 1.5]]),
+                     np.array([[1.0, 0.0]] * 4), game06.rho)
+    t0 = time.perf_counter()
+    ps = ci_payoff_set(game, 0.1)
+    assert time.perf_counter() - t0 < 1.0
+    assert (ps.kappa_plus, ps.kappa_minus) == (3.0, -1.0)
 
 
 def test_stackelberg_and_bounds_speed_on_three_actions():
     # the 3x3 game of test_ci_payoff_set_warns_on_empty_bracket at grid 1e-3
-    acts, sig = ("a0", "a1", "a2"), ("y0", "y1", "y2")
-    rho = SignalStructure(acts, sig, np.array([[0.2, 0.24, 0.56], [0.65, 0.1, 0.25],
-                                               [0.83, 0.09, 0.08]]))
-    game = StageGame(acts, ("b0", "b1", "b2"), sig,
-                     np.array([[0.0, 4.0, 4.0], [3.0, 0.0, 3.0], [3.0, 3.0, 3.0]]),
-                     np.array([[2.0, 1.0, 4.0], [4.0, 3.0, 1.0], [2.0, 2.0, 0.0]]), rho)
+    game = _empty_bracket_game()
     t0 = time.perf_counter()
     stackelberg(game, 1e-3)
     t1 = time.perf_counter()
