@@ -38,13 +38,12 @@ import numpy as np
 from .divergence import kl, separation_value
 from .frameworks import TYPE_COMMIT, TYPE_NORMAL, Framework
 from .game import Distribution, StageGame
-from .scores import BR_TIE_TOL, br2
+from .scores import best_replies
 
 __all__ = [
     "BeliefState",
     "bayes_step",
     "predictive",
-    "slp_action",
     "SimulationConfig",
     "BatchResult",
     "TrajectoryRecord",
@@ -120,11 +119,6 @@ def bayes_step(state: BeliefState, framework: Framework, signal: int | str,
         np.log(framework.commitment_slices[:, y]),
     ])
     return BeliefState(state.log_weights + inc)
-
-
-def slp_action(game: StageGame, q: Distribution) -> str:
-    """Short-run reply to a forecast; deterministic first-in-order tie-break."""
-    return br2(game, q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +447,6 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
         return row_v.max() - row_v
     loss_t = _per_row(alpha_mat, row_loss).ravel()       # (T * nB,)
     rho_alpha_t = _per_row(alpha_mat, lambda aw: aw @ R_mat)  # (T, nY)
-    v_tilde_T = game.v_tilde.T
     u_flat = game.u.ravel()
     nB = game.u.shape[1]
 
@@ -494,11 +487,10 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
         q = post[:, :, TYPE_COMMIT, :] @ Fhat
         q += post[:, :, TYPE_NORMAL, :] @ (F0 if conj_stat is not None else F0_t[t0:t1])
 
-        vals = q @ v_tilde_T
-        thr = _max_cols(vals) - BR_TIE_TOL
-        b = np.zeros(vals.shape[:2], dtype=np.int64)  # first reply within the tie band
-        for j in range(vals.shape[2] - 1, -1, -1):
-            b = np.where(vals[:, :, j] >= thr, j, b)
+        replies = best_replies(game, q)
+        b = np.full(replies.shape[:2], nB - 1)  # the first best reply; some reply is best
+        for j in range(nB - 2, -1, -1):
+            b = np.where(replies[:, :, j], j, b)
 
         ell[:, t0:t1] = loss_t[np.arange(t0, t1)[:, None] * nB + b].T
         u_flow[:, t0:t1] = u_flat[a * nB + b].T

@@ -212,7 +212,6 @@ class ExperimentConfig:
     framework: Framework
     simulation: SimulationConfig | None
     bounds: dict
-    document: dict
 
 
 def load_config(source) -> ExperimentConfig:
@@ -258,8 +257,7 @@ def load_config(source) -> ExperimentConfig:
     unknown = sorted(set(bounds) - {"grid"})
     if unknown:
         raise ConfigError(f"'bounds' takes only 'grid', got {unknown}")
-    return ExperimentConfig(game=game, framework=framework, simulation=sim,
-                            bounds=bounds, document=doc)
+    return ExperimentConfig(game=game, framework=framework, simulation=sim, bounds=bounds)
 
 
 def emit_scenario_document(name: str, params: dict) -> dict:

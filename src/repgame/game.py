@@ -140,14 +140,6 @@ class SignalStructure:
     def row(self, action: str) -> Distribution:
         return Distribution(self.signals, self.matrix[self.actions.index(action)])
 
-    @property
-    def n_actions(self) -> int:
-        return len(self.actions)
-
-    @property
-    def n_signals(self) -> int:
-        return len(self.signals)
-
 
 @dataclass(frozen=True, eq=False)
 class StageGame:

@@ -12,18 +12,19 @@ that all sit on one side of zero (lambda x(y) <= 0):
 
 u(a, beta) is linear in beta, so beta is a variable of the program, not a
 list of candidate replies (Fudenberg & Levine, JET 1994). Supremum of lambda z
-over gridded alpha, with S = supp(alpha) and K its best replies (ties within
-``BR_TIE_TOL``), gives kappa(lambda); the two directions clamp the
-complete-information equilibrium payoff set from above and below.
+over gridded alpha, with S = supp(alpha) and K its ``best_replies`` (the one
+best-reply rule here and in the simulator), gives kappa(lambda); the two
+directions clamp the complete-information equilibrium payoff set from above
+and below.
 
 ``kappa`` finds the distinct (supp(alpha), best-reply set) pairs of its
 lattice in one array pass over ``simplex_lattice`` (an ``(N, n)`` array,
-capped at ``LATTICE_CAP`` points) and solves their programs in one
-``linprog`` call (``repgame.lp``, HiGHS handed the model directly): they
-share no variable, so they stack as the diagonal blocks of one LP whose
-optimum is every block's optimum. If the joint LP has no optimum, the
-programs are split in halves, each half's LP built again, until each
-failing program stands alone, where infeasibility is an answer and any
+capped at ``LATTICE_CAP`` points) and solves their programs, both
+directions, in one ``linprog`` call (``repgame.lp``, HiGHS handed the model
+directly): they share no variable, so they stack as the diagonal blocks of
+one LP whose optimum is every block's optimum. If the joint LP has no
+optimum, the programs are split in halves, each half's LP built again, until
+each failing program stands alone, where infeasibility is an answer and any
 other failure raises. ``kstar`` is the same solve with one block, its reply
 pinned by equal lower and upper bounds. ``stackelberg`` is one array pass
 over the same lattice. Every array pass repeats the per-point arithmetic bit
@@ -34,6 +35,7 @@ make.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -46,6 +48,7 @@ from .lp import linprog
 __all__ = [
     "ScoreResult",
     "PayoffSetResult",
+    "best_replies",
     "br2",
     "optimality_loss",
     "kstar",
@@ -77,17 +80,24 @@ class PayoffSetResult:
     grid_resolution: float
 
 
+def best_replies(game: StageGame, q: np.ndarray) -> np.ndarray:
+    """Mask ``(..., n_b)`` of the replies to signal laws ``q`` ``(..., n_y)`` whose
+    payoff ``q @ v_tilde.T`` is within ``BR_TIE_TOL`` of the best. The best is
+    taken reply column by reply column, many times faster than ``max(axis=-1)``."""
+    vals = q @ game.v_tilde.T
+    top = functools.reduce(np.maximum, np.moveaxis(vals, -1, 0))
+    return vals >= (top - BR_TIE_TOL)[..., None]
+
+
 def br2(game: StageGame, q: Distribution) -> tuple[str, ...]:
-    """Short-run best replies to a signal distribution, ties within ``BR_TIE_TOL``.
+    """Short-run best replies to a signal distribution, by ``best_replies``.
 
     The reply maximizes the signal-measurable payoff sum_y q(y) v_tilde(b, y);
     when q = rho_alpha this coincides with the ex-ante best reply to alpha.
     """
     if q.labels != game.signals:
         raise ValueError(f"br2: expected signal labels {game.signals}, got {q.labels}")
-    vals = game.v_tilde @ q.weights
-    top = float(vals.max())
-    return tuple(b for b, val in zip(game.actions_short, vals) if val >= top - BR_TIE_TOL)
+    return tuple(b for b, best in zip(game.actions_short, best_replies(game, q.weights)) if best)
 
 
 def optimality_loss(game: StageGame, alpha: Distribution, beta: Distribution) -> float:
@@ -106,18 +116,19 @@ def kstar(game: StageGame, alpha: Distribution, beta: Distribution, direction: i
     if alpha.labels != game.actions_long or beta.labels != game.actions_short:
         raise ValueError("kstar: action labels do not match the game")
     beta_w = beta.weights[None]
-    return _solve_scores(game, alpha.weights[None] > SUPPORT_CUTOFF, beta_w, beta_w, direction)[0]
+    return _solve_scores(game, alpha.weights[None] > SUPPORT_CUTOFF, beta_w, beta_w,
+                         np.array([direction]))[0]
 
 
 def _score_lp(game: StageGame, supp: np.ndarray, beta_lb: np.ndarray, beta_ub: np.ndarray,
-              direction: int) -> tuple:
+              direction: np.ndarray) -> tuple:
     """The linprog arguments of score programs stacked as diagonal blocks.
 
-    Program p has the columns [z, x(y_1) ... x(y_m), beta(b_1) ... beta(b_k)]
-    and one row per long-run action a, [1, -rho(.|a), -u(a, .)] = 0 on
-    supp[p] and its negative <= 0 off it, then the row sum(beta) = 1. Rows
-    are stacked as linprog stacks them: every program's inequalities, then
-    every program's equalities. Every column holds one entry per row of its
+    Program p, in direction[p], has the columns [z, x(y), beta(b)] and one
+    row per long-run action a, [1, -rho(.|a), -u(a, .)] = 0 on supp[p] and
+    its negative <= 0 off it, then the row sum(beta) = 1. Rows are stacked
+    as linprog stacks them: every program's inequalities, then every
+    program's equalities. Every column holds one entry per row of its
     program, zeros included, as ``block_diag`` of the blocks stores them.
     """
     R = game.rho.matrix
@@ -141,17 +152,17 @@ def _score_lp(game: StageGame, supp: np.ndarray, beta_lb: np.ndarray, beta_ub: n
     b_eq = np.zeros(eq_start[-1] - ub_start[-1])
     b_eq[eq_start[1:] - ub_start[-1] - 1] = 1.0  # the sum(beta) rows
     c = np.zeros((P, C))
-    c[:, 0] = -float(direction)
-    x_lb, x_ub = (-np.inf, 0.0) if direction == +1 else (0.0, np.inf)  # the offsets' half-space
-    lb = np.hstack([np.full((P, 1), -np.inf), np.full((P, n_y), x_lb), beta_lb])
-    ub = np.hstack([np.full((P, 1), np.inf), np.full((P, n_y), x_ub), beta_ub])
+    c[:, 0] = -direction
+    below = np.broadcast_to((direction == +1)[:, None], (P, n_y))  # offsets x(y) <= 0
+    lb = np.hstack([np.full((P, 1), -np.inf), np.where(below, -np.inf, 0.0), beta_lb])
+    ub = np.hstack([np.full((P, 1), np.inf), np.where(below, 0.0, np.inf), beta_ub])
     A = (coef.transpose(0, 2, 1).ravel(), indices, indptr)
     return c.ravel(), A, np.zeros(ub_start[-1]), b_eq, lb.ravel(), ub.ravel()
 
 
 def _solve_scores(game: StageGame, supp: np.ndarray, beta_lb: np.ndarray, beta_ub: np.ndarray,
-                  direction: int) -> list[ScoreResult]:
-    """Solve score programs, row p given by its support mask and reply bounds, in one LP.
+                  direction: np.ndarray) -> list[ScoreResult]:
+    """Solve score programs, row p given by its support, reply bounds and direction, in one LP.
 
     The programs share no variable, so they are the diagonal blocks of one
     program whose optimum is every block's optimum. When the joint program
@@ -163,14 +174,14 @@ def _solve_scores(game: StageGame, supp: np.ndarray, beta_lb: np.ndarray, beta_u
     P = len(supp)
     if res.status == 0:
         n_y = game.rho.matrix.shape[1]
-        return [ScoreResult(True, float(x[0]), x[1:1 + n_y].copy(), direction)
-                for x in res.x.reshape(P, -1)]
+        return [ScoreResult(True, float(x[0]), x[1:1 + n_y].copy(), int(d))
+                for x, d in zip(res.x.reshape(P, -1), direction)]
     if P > 1:
         h = P // 2
-        return (_solve_scores(game, supp[:h], beta_lb[:h], beta_ub[:h], direction)
-                + _solve_scores(game, supp[h:], beta_lb[h:], beta_ub[h:], direction))
+        return (_solve_scores(game, supp[:h], beta_lb[:h], beta_ub[:h], direction[:h])
+                + _solve_scores(game, supp[h:], beta_lb[h:], beta_ub[h:], direction[h:]))
     if res.status == 2:
-        return [ScoreResult(False, None, None, direction)]
+        return [ScoreResult(False, None, None, int(direction[0]))]
     if res.status == 3:
         raise RuntimeError("score program unbounded; enforceability should cap it")
     raise RuntimeError(f"score program solver failure: {res.message}")
@@ -198,29 +209,36 @@ def _normalized(W: np.ndarray) -> np.ndarray:
     return W / W.sum(axis=1, keepdims=True)
 
 
-def kappa(game: StageGame, direction: int, grid: float) -> float:
-    """sup of lambda z* over gridded alpha and replies beta in Delta(BR(alpha)).
+def _lattice_replies(game: StageGame, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized commitments alpha, one per row of ``points``, and their
+    ``best_replies`` to rho_alpha, computed as ``mix_signal_dist`` computes it."""
+    alpha = _normalized(points)
+    q = _normalized((alpha[:, None, :] @ game.rho.matrix)[:, 0, :])
+    return alpha, best_replies(game, q)
 
-    Best replies tie within ``BR_TIE_TOL``. Returns -inf when no program is
-    feasible. The score program sees alpha only through its support and beta
-    only through u(a, beta), which is linear in beta, so beta is a variable
-    of the program, free on alpha's best replies and 0 off them. One array
-    pass over the lattice gives every point's (support, best-reply mask)
-    row, and the distinct rows, in order of first appearance along the
-    lattice, are the programs, solved together in one LP.
+
+def kappa(game: StageGame, grid: float) -> tuple[float, float]:
+    """(kappa(+1), kappa(-1)): sup of lambda z* over gridded alpha and replies
+    beta in Delta(BR(alpha)); -inf when no program of that direction is feasible.
+
+    The score program sees alpha only through its support and beta only
+    through u(a, beta), which is linear in beta, so beta is a variable of the
+    program, free on alpha's best replies and 0 off them. One array pass over
+    the lattice gives every point's (support, best-reply mask) row; the
+    distinct rows (packed bitwise into byte strings), in order of first
+    appearance, are the programs. One LP solves each of them for +1, then
+    each for -1, so halving splits the directions first.
     """
-    if direction not in (+1, -1):
-        raise ValueError(f"kappa: direction must be +1 or -1, got {direction!r}")
-    alpha = _normalized(simplex_lattice(len(game.actions_long), grid))
+    alpha, replies = _lattice_replies(game, simplex_lattice(len(game.actions_long), grid))
     supp = alpha > SUPPORT_CUTOFF
-    rows = (alpha[:, None, :] @ game.v)[:, 0, :]  # alpha_w @ v, point by point
-    keep = rows.max(axis=1, keepdims=True) - rows <= BR_TIE_TOL
-    _, first = np.unique(np.hstack([supp, keep]), axis=0, return_index=True)
-    first = np.sort(first)
-    replies = keep[first]
-    results = _solve_scores(game, supp[first], np.zeros(replies.shape),
-                            np.where(replies, np.inf, 0.0), direction)
-    return float(max((direction * res.z for res in results if res.feasible), default=-np.inf))
+    packed = np.packbits(np.hstack([supp, replies]), axis=1)
+    _, first = np.unique(packed.view(f"S{packed.shape[1]}")[:, 0], return_index=True)
+    first = np.tile(np.sort(first), 2)
+    sign = np.repeat([+1, -1], len(first) // 2)
+    results = _solve_scores(game, supp[first], np.zeros(replies[first].shape),
+                            np.where(replies[first], np.inf, 0.0), sign)
+    scores = np.array([d * res.z if res.feasible else -np.inf for d, res in zip(sign, results)])
+    return float(scores[sign == +1].max()), float(scores[sign == -1].max())
 
 
 def ci_payoff_set(game: StageGame, grid: float) -> PayoffSetResult:
@@ -229,8 +247,7 @@ def ci_payoff_set(game: StageGame, grid: float) -> PayoffSetResult:
     hi caps payoffs using the downward half-space score, lo symmetric; both are
     intersected with the raw payoff range. A warning is raised when lo > hi.
     """
-    k_plus = kappa(game, +1, grid)
-    k_minus = kappa(game, -1, grid)
+    k_plus, k_minus = kappa(game, grid)
     u_min, u_max = game.u_range
     lo = max(u_min, -k_minus)
     hi = min(u_max, k_plus)
@@ -248,17 +265,13 @@ def stackelberg(game: StageGame, grid: float, *, pure: bool = False
                 ) -> tuple[float, Distribution]:
     """Best commitment payoff against an adversarially chosen best reply.
 
-    Grid supremum of min over br2(rho_alpha) of u(alpha, b); ``pure`` restricts
-    the commitment to vertices. Ties go to the first grid point reaching the sup.
-    One array pass: every point's signal law, reply values and payoff row are
-    computed as ``br2`` and ``mix_signal_dist`` compute them for that point.
+    Grid supremum of min over the ``best_replies`` to rho_alpha of u(alpha, b);
+    ``pure`` restricts the commitment to vertices. Ties go to the first grid
+    point reaching the sup. One array pass, the one ``kappa`` makes.
     """
     n = len(game.actions_long)
     points = np.eye(n) if pure else simplex_lattice(n, grid)
-    alpha = _normalized(points)
-    q = _normalized((alpha[:, None, :] @ game.rho.matrix)[:, 0, :])
-    vals = (game.v_tilde @ q[:, :, None])[:, :, 0]
-    replies = vals >= vals.max(axis=1, keepdims=True) - BR_TIE_TOL
+    alpha, replies = _lattice_replies(game, points)
     u_rows = (alpha[:, None, :] @ game.u)[:, 0, :]
     worst = np.where(replies, u_rows, np.inf).min(axis=1)
     i = int(np.argmax(worst))
@@ -267,6 +280,5 @@ def stackelberg(game: StageGame, grid: float, *, pure: bool = False
 
 def reputation_lower_bound(game: StageGame, alpha_star: Distribution) -> float:
     """Worst payoff of persistent alpha_star play across its admissible replies."""
-    replies = br2(game, mix_signal_dist(game.rho, alpha_star))
-    u_row = alpha_star.weights @ game.u
-    return min(float(u_row[game.actions_short.index(b)]) for b in replies)
+    replies = best_replies(game, mix_signal_dist(game.rho, alpha_star).weights)
+    return float((alpha_star.weights @ game.u)[replies].min())

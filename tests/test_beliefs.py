@@ -20,14 +20,13 @@ from repgame.beliefs import (BeliefState, SimulationConfig, TrajectoryRecord,
                              azuma_diagnostic, bayes_step,
                              certificate_kl_ceiling, decay_rate_fit,
                              discounted_kl_certificate, monte_carlo,
-                             predictive, simulate_batch, simulate_run,
-                             slp_action)
+                             predictive, simulate_batch, simulate_run)
 from repgame.divergence import tv
 from repgame.frameworks import TYPE_COMMIT, TYPE_NORMAL, Framework
 from repgame.game import Distribution, SignalStructure, StageGame, mix_signal_dist
 from repgame.scenarios import (counter_example, perturbation_sequence, product_choice,
                                three_signal)
-from repgame.scores import BR_TIE_TOL, optimality_loss
+from repgame.scores import BR_TIE_TOL, br2, optimality_loss
 
 
 def a_dist(game, w):
@@ -70,8 +69,10 @@ def test_posterior_is_martingale(game06, fw06):
 
 
 def test_slp_action(game06):
-    assert slp_action(game06, Distribution(game06.signals, [0.6, 0.4])) == "b_h"
-    assert slp_action(game06, Distribution(game06.signals, [0.3, 0.7])) == "b_l"
+    # the short-run player takes its first best reply
+    assert br2(game06, Distribution(game06.signals, [0.6, 0.4]))[0] == "b_h"
+    assert br2(game06, Distribution(game06.signals, [0.3, 0.7]))[0] == "b_l"
+    assert br2(game06, Distribution(game06.signals, [0.45, 0.55]))[0] == "b_h"
 
 
 # -- the vectorized simulator -------------------------------------------------
@@ -111,7 +112,7 @@ def test_batch_row_replays_through_scalar_api(game06, fw06):
         mu = max(state.reputation, 1e-300)
         assert abs(batch.mu[0, t] - state.reputation) / mu <= 1e-9
         q = predictive(state, fw06, a_l)
-        b = slp_action(game06, q)
+        b = br2(game06, q)[0]
         beta = Distribution.point_mass(game06.actions_short, b)
         assert batch.ell[0, t] == pytest.approx(
             optimality_loss(game06, a_l, beta), abs=1e-12)

@@ -58,9 +58,9 @@ def _assert_same_matrix(A, ref):
 
 
 def _record_score_lps(monkeypatch):
-    """Every score LP, halves included: its game, programs (support masks and
-    reply bounds), direction, the arguments handed to the entry point and its
-    result."""
+    """Every score LP, halves included: its game, programs (support masks,
+    reply bounds and a direction each), the arguments handed to the entry
+    point and its result."""
     calls = []
     real_scores, real_lp = repgame.scores._solve_scores, repgame.scores.linprog
 
@@ -89,7 +89,8 @@ def _record_score_lps(monkeypatch):
 def test_score_lps_match_scipy_linprog(monkeypatch, make, grid):
     # program p's columns are [z, x(y), beta(b)]; its rows [1, -rho(.|a), -u(a, .)]
     # are equalities on its support and negated inequalities off it, and its
-    # last equality row is sum(beta) = 1
+    # last equality row is sum(beta) = 1; its direction sets its objective and
+    # its offsets' half-space
     game = make()
     calls = _record_score_lps(monkeypatch)
     with warnings.catch_warnings():
@@ -110,12 +111,12 @@ def test_score_lps_match_scipy_linprog(monkeypatch, make, grid):
             A_ub = block_diag([np.hstack([-np.ones((int(o.sum()), 1)), R[o], u[o]]) for o in off],
                               format="csc")
             b_ub = np.zeros(A_ub.shape[0])
-        x_bound = (-np.inf, 0.0) if call["direction"] == +1 else (0.0, np.inf)
         bounds = np.concatenate([
-            np.tile([(-np.inf, np.inf)] + [x_bound] * n_y, (len(supps), 1, 1)),
+            np.array([[(-np.inf, np.inf)] + [(-np.inf, 0.0) if d == +1 else (0.0, np.inf)] * n_y
+                      for d in call["direction"]]),
             np.stack([call["beta_lb"], call["beta_ub"]], axis=2)], axis=1).reshape(-1, 2)
         c = np.zeros((len(supps), 1 + n_y + n_b))
-        c[:, 0] = -float(call["direction"])
+        c[:, 0] = [-float(d) for d in call["direction"]]
         ref = scipy_linprog(c.ravel(), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
                             bounds=bounds, method="highs")
         args = call["args"]
@@ -131,7 +132,11 @@ def test_score_lps_match_scipy_linprog(monkeypatch, make, grid):
         # halving reaches solo infeasible programs (2) and feasible halves (0)
         assert {0, 2} <= set(statuses)
     else:
-        assert statuses == [0, 0]
+        assert statuses == [0]
+    # the first LP holds every program for +1, then every one for -1
+    direction = calls[0]["direction"].tolist()
+    P = len(direction) // 2
+    assert direction == [+1] * P + [-1] * P
 
 
 def _phase1(R, q):

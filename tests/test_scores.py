@@ -18,7 +18,7 @@ import repgame.scores
 from repgame.bruteforce import simplex_lattice
 from repgame.game import Distribution, StageGame, SignalStructure, mix_signal_dist
 from repgame.scenarios import product_choice, three_signal
-from repgame.scores import (BR_TIE_TOL, SUPPORT_CUTOFF, ScoreResult, br2,
+from repgame.scores import (SUPPORT_CUTOFF, ScoreResult, _score_lp, best_replies, br2,
                             ci_payoff_set, kappa, kstar, optimality_loss,
                             reputation_lower_bound, stackelberg, verify_certificate)
 
@@ -33,6 +33,21 @@ def test_br2_threshold(game06):
     assert br2(game06, dist(sig, [0.60, 0.40])) == ("b_h",)
     assert br2(game06, dist(sig, [0.44, 0.56])) == ("b_l",)
     assert br2(game06, dist(sig, [0.45, 0.55])) == ("b_h", "b_l")
+
+
+@pytest.mark.parametrize("case", ["tie_point", "always_tied"])
+def test_best_replies_of_a_stack_match_br2_row_by_row(game06, case):
+    # a (b, R, n_y) stack of signal laws, the exact tie q = (0.45, 0.55) among them
+    game = game06 if case == "tie_point" else _always_tied_game()
+    rng = np.random.default_rng(3)
+    h = np.append(rng.uniform(0.3, 0.6, 11), 0.45)
+    q = np.stack([h, 1.0 - h], axis=1).reshape(3, 4, 2)
+    mask = best_replies(game, q)
+    assert mask.shape == (3, 4, 2)
+    for i, j in np.ndindex(3, 4):
+        replies = br2(game, dist(game.signals, q[i, j]))
+        assert tuple(np.array(game.actions_short)[mask[i, j]]) == replies
+    assert mask[2, 3].all()  # both replies are best at the tie
 
 
 def test_br2_rejects_wrong_labels(game06):
@@ -124,15 +139,19 @@ def test_verify_certificate_flags_tampering(game09):
 
 def test_kappa_frozen_values(game09, game06):
     # optima sit at pure action profiles, so a coarse grid is exact
-    assert kappa(game09, +1, 0.05) == pytest.approx(1.8, abs=1e-9)
-    assert kappa(game09, -1, 0.05) == pytest.approx(-1.0, abs=1e-9)
-    assert kappa(game06, +1, 0.05) == pytest.approx(1.0, abs=1e-9)
-    assert kappa(game06, -1, 0.05) == pytest.approx(-1.0, abs=1e-9)
+    assert kappa(game09, 0.05) == pytest.approx((1.8, -1.0), abs=1e-9)
+    assert kappa(game06, 0.05) == pytest.approx((1.0, -1.0), abs=1e-9)
 
 
 def test_kappa_direction_validation(game09):
-    with pytest.raises(ValueError, match="direction"):
-        kappa(game09, 0, 0.1)
+    # kappa answers both directions, (+1, -1) in that order, and takes none
+    with pytest.raises(TypeError):
+        kappa(game09, +1, 0.1)
+    a_h, a_l = game09.long_dist([1.0, 0.0]), game09.long_dist([0.0, 1.0])
+    b_h, b_l = game09.short_dist([1.0, 0.0]), game09.short_dist([0.0, 1.0])
+    k_plus, k_minus = kappa(game09, 0.1)
+    assert k_plus == pytest.approx(kstar(game09, a_h, b_h, +1).z, abs=1e-9)
+    assert k_minus == pytest.approx(-kstar(game09, a_l, b_l, -1).z, abs=1e-9)
 
 
 def test_ci_payoff_set(game09, game06):
@@ -148,8 +167,8 @@ def test_ci_payoff_set(game09, game06):
 
 
 def _record_batches(monkeypatch):
-    """Record every (programs, direction, results) batch kappa solves, not its
-    halves; a program is (support mask, reply lower bounds, reply upper bounds)."""
+    """Record every (programs, results) batch kappa solves, not its halves; a
+    program is (support mask, reply lower bounds, reply upper bounds, direction)."""
     batches = []
     depth = []
     real = repgame.scores._solve_scores
@@ -159,7 +178,7 @@ def _record_batches(monkeypatch):
         results = real(game, supp, beta_lb, beta_ub, direction)
         depth.pop()
         if not depth:
-            batches.append((list(zip(supp, beta_lb, beta_ub)), direction, results))
+            batches.append((list(zip(supp, beta_lb, beta_ub, direction)), results))
         return results
 
     monkeypatch.setattr(repgame.scores, "_solve_scores", recording)
@@ -181,16 +200,16 @@ def _count_linprog(monkeypatch):
 def test_ci_payoff_set_solves_each_score_program_once(monkeypatch):
     # one program per distinct (support, best-reply set) of the lattice: the
     # supports {a_h}, {a_l} and both, the mixed support with either reply and
-    # with both at the tie point; all feasible, one LP per direction
+    # with both at the tie point; all feasible, both directions in one LP
     batches = _record_batches(monkeypatch)
     lp_calls = _count_linprog(monkeypatch)
     game, _ = product_choice(0.9, 0.4, 0.0)
     ps = ci_payoff_set(game, 1e-3)
-    keys = [(supp.tobytes(), ub.tobytes(), direction)
-            for programs, direction, _ in batches for supp, _, ub in programs]
+    (programs, _), = batches
+    keys = [(supp.tobytes(), ub.tobytes(), int(d)) for supp, _, ub, d in programs]
     assert len(keys) == len(set(keys)) == 10
-    assert sorted(direction for _, direction, _ in batches) == [-1, +1]
-    assert len(lp_calls) == 2
+    assert [d for _, _, d in keys] == [+1] * 5 + [-1] * 5
+    assert len(lp_calls) == 1
     assert (ps.kappa_plus, ps.kappa_minus, ps.lo, ps.hi) == (1.8, -1.0, 1.0, 1.8)
 
 
@@ -241,11 +260,12 @@ def test_score_batch_matches_solo_solves(monkeypatch, make, grid, infeasible):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # empty-bracket note
         ci_payoff_set(game, grid)
-    assert len(batches) == 2
+    assert len(batches) == 1
     n_infeasible = 0
-    for programs, direction, results in batches:
+    for programs, results in batches:
         assert len(results) == len(programs)
-        for (supp, beta_lb, beta_ub), res in zip(programs, results):
+        for (supp, beta_lb, beta_ub, direction), res in zip(programs, results):
+            assert res.direction == direction
             ref = _dense_score(game, supp, beta_lb, beta_ub, direction)
             assert ref.status in (0, 2)
             assert res.feasible == (ref.status == 0)
@@ -255,10 +275,10 @@ def test_score_batch_matches_solo_solves(monkeypatch, make, grid, infeasible):
                                    rtol=0.0, atol=1e-9)
             n_infeasible += not res.feasible
     if infeasible == "none":
-        assert n_infeasible == 0 and len(lp_calls) == 2
+        assert n_infeasible == 0 and len(lp_calls) == 1
     else:
         # infeasible programs stand alone after halving; feasible ones are solved too
-        n_programs = sum(len(programs) for programs, _, _ in batches)
+        n_programs = sum(len(programs) for programs, _ in batches)
         assert 0 < n_infeasible < n_programs
         assert len(lp_calls) > 2
 
@@ -318,10 +338,10 @@ def _programs_per_point(game, grid):
     at a time, in order of first appearance (test-only reference)."""
     programs = {}
     for alpha_w in simplex_lattice(len(game.actions_long), grid):
-        alpha_w = alpha_w / float(alpha_w.sum())
-        row = alpha_w @ game.v
-        programs.setdefault(((alpha_w > SUPPORT_CUTOFF).tobytes(),
-                             (row.max() - row <= BR_TIE_TOL).tobytes()), None)
+        alpha = Distribution(game.actions_long, alpha_w)
+        replies = br2(game, mix_signal_dist(game.rho, alpha))
+        programs.setdefault(((alpha.weights > SUPPORT_CUTOFF).tobytes(),
+                             np.isin(game.actions_short, replies).tobytes()), None)
     return list(programs)
 
 
@@ -336,10 +356,10 @@ def _subgrid_programs_per_point(game, grid):
     programs = {}
     n_b = len(game.actions_short)
     for alpha_w in simplex_lattice(len(game.actions_long), grid):
-        alpha_w = alpha_w / float(alpha_w.sum())
-        supp = alpha_w > SUPPORT_CUTOFF
-        row = alpha_w @ game.v
-        keep = np.flatnonzero(row.max() - row <= BR_TIE_TOL)
+        alpha = Distribution(game.actions_long, alpha_w)
+        supp = alpha.weights > SUPPORT_CUTOFF
+        keep = np.flatnonzero(np.isin(game.actions_short,
+                                      br2(game, mix_signal_dist(game.rho, alpha))))
         mixes = simplex_lattice(len(keep), SUBGRID) if len(keep) >= 2 else np.ones((1, 1))
         for mix in mixes:
             w = np.zeros(n_b)
@@ -381,17 +401,47 @@ def test_kappa_collects_the_per_point_programs_in_order(monkeypatch, make, grid)
     batches = []
 
     def record(game, supp, beta_lb, beta_ub, direction):  # no solve: only the collection
-        batches.append((supp, beta_lb, beta_ub))
-        return [ScoreResult(False, None, None, direction)] * len(supp)
+        batches.append((supp, beta_lb, beta_ub, direction))
+        return [ScoreResult(False, None, None, int(d)) for d in direction]
 
     monkeypatch.setattr(repgame.scores, "_solve_scores", record)
-    assert kappa(game, +1, grid) == -np.inf
-    (supp, beta_lb, beta_ub), = batches
+    assert kappa(game, grid) == (-np.inf, -np.inf)
+    (supp, beta_lb, beta_ub, direction), = batches
     # replies are free on the best-reply mask and pinned to 0 off it
     assert not beta_lb.any()
     assert np.all((beta_ub == np.inf) | (beta_ub == 0.0))
     keys = [(s.tobytes(), (ub == np.inf).tobytes()) for s, ub in zip(supp, beta_ub)]
-    assert keys == _programs_per_point(game, grid)
+    # every program for +1, then the same programs for -1
+    programs = _programs_per_point(game, grid)
+    assert keys == programs + programs
+    assert direction.tolist() == [+1] * len(programs) + [-1] * len(programs)
+
+
+def test_kappa_programs_reach_the_lp_in_order_of_first_appearance(monkeypatch):
+    # the four-action game's programs sort in another order than they appear
+    # along the lattice; the one LP holds them as they appear
+    game, grid = _four_action_game(), 0.1
+    programs = _programs_per_point(game, grid)
+    assert programs != sorted(programs)
+    supp = np.array([np.frombuffer(s, dtype=bool) for s, _ in programs] * 2)
+    replies = np.array([np.frombuffer(r, dtype=bool) for _, r in programs] * 2)
+    direction = np.repeat([+1, -1], len(programs))
+    expected = _score_lp(game, supp, np.zeros(replies.shape), np.where(replies, np.inf, 0.0),
+                         direction)
+    calls = []
+    real = repgame.scores.linprog
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(repgame.scores, "linprog", recording)
+    kappa(game, grid)
+
+    def flat(args):  # (c, (data, indices, indptr), b_ub, b_eq, lb, ub) as bytes
+        return [x.tobytes() for x in (args[0], *args[1], *args[2:])]
+
+    assert flat(calls[0]) == flat(expected)
 
 
 def _stackelberg_per_point(game, grid, pure=False):
@@ -455,7 +505,7 @@ def test_kappa_dominates_the_reply_subgrid(make, grid, direction):
         assert ref.status in (0, 2)
         if ref.status == 0:
             best[mixed] = max(best[mixed], direction * ref.x[0])
-    value = kappa(game, direction, grid)
+    value = kappa(game, grid)[0 if direction == +1 else 1]
     assert value >= max(best.values()) - 1e-9
     if best[True] <= best[False] + 1e-9:
         assert abs(value - best[False]) <= 1e-9
@@ -469,7 +519,7 @@ def test_kappa_minus_closed_form_with_always_tied_replies(grid):
     # {a_l} and the mixed support reach the same 4/3 at the same beta. No
     # 1e-2 sub-grid reply gets below 1.34.
     game = _always_tied_game()
-    assert abs(kappa(game, -1, grid) - (-4.0 / 3.0)) <= 1e-9
+    assert abs(kappa(game, grid)[1] - (-4.0 / 3.0)) <= 1e-9
     a_h = game.long_dist([1.0, 0.0])
     assert kstar(game, a_h, game.short_dist([2 / 3, 1 / 3]), -1).z == pytest.approx(4 / 3, abs=1e-9)
     for b in (0.66, 0.67):

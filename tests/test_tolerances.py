@@ -109,3 +109,26 @@ def test_scan_sees_a_bare_comparison(tmp_path):
                    "def f(x):\n"
                    "    return x <= TOL and x > -1e-9\n")
     assert bare_tolerance_literals([src]) == ["mod.py:7: 1e-09"]
+
+
+def functions_reading(name: str, paths) -> list[str]:
+    """module.function of every function in ``paths`` that loads ``name``,
+    once each; a load outside every function counts as module.<module>."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for n in ast.walk(fn):
+                    owner.setdefault(id(n), fn.name)  # walk order: outermost first
+        found += sorted({f"{path.stem}.{owner.get(id(n), '<module>')}" for n in ast.walk(tree)
+                         if isinstance(n, ast.Name) and n.id == name
+                         and isinstance(n.ctx, ast.Load)})
+    return found
+
+
+def test_one_function_reads_the_best_reply_tie():
+    # every best reply in the package comes from one rule
+    assert functions_reading("BR_TIE_TOL", sorted(PACKAGE.glob("*.py"))) == [
+        "scores.best_replies"]
