@@ -14,11 +14,27 @@ Actions and signals never depend on beliefs, so the whole (runs, T) panel of
 them is drawn first: each run's uniforms go into one reusable buffer of about
 2**16 run-periods, a chunk of runs at a time, and each chunk becomes actions
 and signals, kept in the smallest unsigned dtype that holds the largest index
-(uint8 for every game in the package), before the buffer is reused. Beliefs are then computed in time blocks
-of about 2**16 run-periods, log weights by a running sum over each block. Every
-panel column, ``kl_term`` included, is computed per run with the same
-floating-point steps at any batch size: run ``i`` of a 1000-run batch is
-bit-identical to run ``i`` simulated alone.
+(uint8 for every game in the package), before the buffer is reused.
+
+Beliefs come next. A period's forecast, reply, loss and gaps depend on its
+log weights and the period alone. Under a scripted conjecture the log weights
+are a running sum of the log-likelihoods, taken in time blocks of about 2**16
+run-periods. Under a stationary one, the log weights at period t are
+log prior + sum_y n_y(t) log F(y), added in signal order, so they depend on
+the signal counts n(t) alone. The signals are then counted in strips of
+periods, about 2**19 counts at a time. The states a strip visits lie in a
+box: each period's counts between their minimum and maximum over runs. Where
+the box holds no more cells than the strip has run-periods, the cells runs
+visit are evaluated once each and the panels gather from them. Otherwise
+every run-period is evaluated, with the same arithmetic. Either way states
+are evaluated about 2**14 at a time.
+
+Every panel column, ``kl_term`` included, is computed per run with the same
+floating-point steps at any batch size, so run ``i`` of a 1000-run batch is
+bit-identical to run ``i`` simulated alone. The one exception is the
+forecast, a BLAS product with one row per state: OpenBLAS rounds a row alike
+at any batch size for the one- and two-model frameworks the tests cover, but
+not always with four models.
 
 A batch holds about 34 bytes per run-period: four float64 panels (``mu``,
 ``ell``, ``u_flow``, ``tv_gap``) and the two uint8 index panels; ``kl_term``
@@ -279,7 +295,8 @@ def _resolve_horizon(game: StageGame, config: SimulationConfig) -> tuple[int, fl
 
 
 _MAX_CELLS = 64_000_000  # run-periods in one batch
-_CELLS = 1 << 16  # run-periods per chunk of the draw and per block of the belief pass
+_CELLS = 1 << 16  # run-periods per chunk of the draw and per block of a scripted
+                  # belief pass; a stationary one counts 8 * _CELLS at a time
 
 
 def _draw(master_seed: int, run_indices: np.ndarray, alpha_mat: np.ndarray,
@@ -315,13 +332,15 @@ def _draw(master_seed: int, run_indices: np.ndarray, alpha_mat: np.ndarray,
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
+    state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+    state["buffer_pos"] = 4
+    keys = np.empty((R, 2), dtype=np.uint64)  # each run's key: low, high 64 bits
+    keys[:, 0] = run_indices
+    keys[:, 1] = master_seed
     for r0 in range(0, R, chunk):
         u = buf[:min(chunk, R - r0)]
-        for i, run in enumerate(run_indices[r0:r0 + len(u)]):
-            k = (master_seed << 64) | int(run)
-            state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-            state["state"]["key"] = np.array([k & (2**64 - 1), k >> 64], dtype=np.uint64)
-            state["buffer_pos"] = 4
+        for i in range(len(u)):
+            state["state"]["key"] = keys[r0 + i]
             bitgen.state = state
             gen.random(out=u[i])
         a = actions[r0:r0 + len(u)]
@@ -388,6 +407,33 @@ def _per_row(mat: np.ndarray, fn) -> np.ndarray:
     return np.stack([done[key] for key in keys])
 
 
+def _reputation(lw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior and commitment mass of log weights ``lw`` (..., 2, nM); the
+    posterior overwrites ``lw``."""
+    norm = _logsumexp(lw.reshape(lw.shape[:-2] + (-1,)))
+    post = np.exp(np.subtract(lw, norm[..., None, None], out=lw), out=lw)
+    return post, _sum_cols(post[..., TYPE_COMMIT, :])
+
+
+def _count_log_weights(log_prior: np.ndarray, log_lik: np.ndarray, t: np.ndarray,
+                       counts) -> np.ndarray:
+    """Log weights ``log_prior + sum_y n_y * log_lik[y]``, added in signal order,
+    of states at periods ``t`` (N,); shape (N, 2, nM).
+
+    ``counts`` yields n_y (N,) for every signal but the last, in order; the
+    last signal's count is t minus theirs. ``log_lik[y]`` (2, nM) is each
+    hypothesis's log-likelihood of signal y under a stationary conjecture.
+    """
+    lw = np.empty(t.shape + log_prior.shape)
+    lw[:] = log_prior
+    rest = t.copy()
+    for y, n in enumerate(counts):
+        lw += n[:, None, None] * log_lik[y]
+        rest -= n
+    lw += rest[:, None, None] * log_lik[-1]
+    return lw
+
+
 def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
               run_indices: np.ndarray) -> BatchResult:
     if framework.actions != game.actions_long or framework.signals != game.signals:
@@ -421,14 +467,7 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
 
     R_mat = game.rho.matrix
     Fhat = framework.commitment_slices
-    log_fhat_by_y = np.log(Fhat).T                       # (nY, nM)
-    if conj_stat is not None:
-        F0 = framework.normal_mix(conj_stat)              # (nM, nY)
-        logF0_by_y = np.log(F0).T                         # (nY, nM)
-    else:
-        F0_t = _per_row(conj_mat, lambda c: np.einsum(
-            "a,may->my", c, framework.normal_kernels))   # (T, nM, nY)
-        logF0_by_ty = np.log(F0_t).transpose(0, 2, 1)    # (T, nY, nM)
+    log_prior = np.log(framework.prior)
 
     p_star = None
     p_star_ent = 0.0
@@ -448,7 +487,8 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
     loss_t = _per_row(alpha_mat, row_loss).ravel()       # (T * nB,)
     rho_alpha_t = _per_row(alpha_mat, lambda aw: aw @ R_mat)  # (T, nY)
     u_flat = game.u.ravel()
-    nB = game.u.shape[1]
+    nA, nB = game.u.shape
+    nY = len(game.signals)
 
     mu = np.empty((R, T + 1))
     ell = np.empty((R, T))
@@ -456,54 +496,172 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
     tv_gap = np.empty((R, T))
     kl_term = np.empty((R, T)) if p_star is not None else None
 
-    # Beliefs, a block of B periods at a time. Start-of-period log weights
-    # are the running sum of the log-likelihood increments, added row by row
-    # over [carried log_w, increments...] (the additions of a cumsum, without
-    # its slow inner loop along the short time axis); a period's forecast,
-    # reply, loss and gaps come from its log weights alone.
-    log_w = np.tile(np.log(framework.prior)[None, :, :], (R, 1, 1))
-    B = max(1, _CELLS // R)
-    for t0 in range(0, T, B):
-        t1 = min(T, t0 + B)
-        y = signals[:, t0:t1].T                           # (b, R)
-        a = actions[:, t0:t1].T.astype(np.intp)           # a * nB wraps in uint8
-        lw = np.empty((t1 - t0 + 1,) + log_w.shape)
-        lw[0] = log_w
-        lw[1:, :, TYPE_COMMIT, :] = log_fhat_by_y[y]
-        if conj_stat is not None:
-            lw[1:, :, TYPE_NORMAL, :] = logF0_by_y[y]
-        else:
-            lw[1:, :, TYPE_NORMAL, :] = logF0_by_ty[np.arange(t0, t1)[:, None], y]
-        for i in range(1, len(lw)):
-            np.add(lw[i - 1], lw[i], out=lw[i])
-        log_w = lw[-1].copy()
-        lw = lw[:-1]
-
-        norm = _logsumexp(lw.reshape(lw.shape[:2] + (-1,)))
-        post = np.exp(np.subtract(lw, norm[:, :, None, None], out=lw), out=lw)
-        mu[:, t0:t1] = _sum_cols(post[:, :, TYPE_COMMIT, :]).T
-        # Stacked matmuls make one product per period, of the same shapes as
-        # a single period's, so each period rounds as it would alone.
-        q = post[:, :, TYPE_COMMIT, :] @ Fhat
-        q += post[:, :, TYPE_NORMAL, :] @ (F0 if conj_stat is not None else F0_t[t0:t1])
-
+    def evaluate(lw, t, F0):
+        """Reputation, loss, TV gap, KL term and first best reply of the states
+        with log weights ``lw`` (..., 2, nM) at periods ``t``. A state's values
+        depend on its own log weights and period alone. Overwrites ``lw``."""
+        post, mu_s = _reputation(lw)
+        # One product row per state (see the module docstring on BLAS).
+        q = post[..., TYPE_COMMIT, :] @ Fhat
+        q += post[..., TYPE_NORMAL, :] @ F0
         replies = best_replies(game, q)
-        b = np.full(replies.shape[:2], nB - 1)  # the first best reply; some reply is best
+        b = np.full(replies.shape[:-1], nB - 1)  # the first best reply; some reply is best
         for j in range(nB - 2, -1, -1):
-            b = np.where(replies[:, :, j], j, b)
-
-        ell[:, t0:t1] = loss_t[np.arange(t0, t1)[:, None] * nB + b].T
-        u_flow[:, t0:t1] = u_flat[a * nB + b].T
-        tv_gap[:, t0:t1] = (0.5 * _sum_cols(np.abs(q - rho_alpha_t[t0:t1, None, :]))).T
+            b = np.where(replies[..., j], j, b)
+        tv = 0.5 * _sum_cols(np.abs(q - rho_alpha_t[t]))
+        kl = None
         if p_star is not None:
             logq = np.log(q)
-            cross = p_star[0] * logq[:, :, 0]
+            cross = p_star[0] * logq[..., 0]
             for j in range(1, len(p_star)):
-                cross += p_star[j] * logq[:, :, j]
-            kl_term[:, t0:t1] = (p_star_ent - cross).T
+                cross += p_star[j] * logq[..., j]
+            kl = p_star_ent - cross
+        return (mu_s, loss_t[t * nB + b], tv, kl), b
 
-    norm = _logsumexp(log_w.reshape(R, -1))
-    mu[:, T] = _sum_cols(np.exp(log_w - norm[:, None, None])[:, TYPE_COMMIT, :])
+    def store(at, vals, get, u):
+        """Write ``get(v)``, (runs, periods), of each state value into the
+        panels at ``at``, one panel at a time, and ``u`` into ``u_flow``."""
+        for panel, v in zip((mu, ell, tv_gap, kl_term), vals):
+            if panel is not None:
+                panel[at] = get(v)
+        u_flow[at] = u
+
+    def reply_payoff(at, b):
+        """Long-run flow payoffs u(a, b) of the run-periods at ``at``."""
+        return u_flat[actions[at].astype(np.intp) * nB + b]  # a * nB wraps in uint8
+
+    if conj_stat is None:
+        # Scripted conjecture: beliefs a block of B periods at a time. Start-of-
+        # period log weights are the running sum of the log-likelihood
+        # increments, added row by row over [carried log_w, increments...]
+        # (the additions of a cumsum, without its slow inner loop along the
+        # short time axis).
+        F0_t = _per_row(conj_mat, lambda c: np.einsum(
+            "a,may->my", c, framework.normal_kernels))   # (T, nM, nY)
+        logF0_by_ty = np.log(F0_t).transpose(0, 2, 1)    # (T, nY, nM)
+        log_fhat_by_y = np.log(Fhat).T                   # (nY, nM)
+        log_w = np.tile(log_prior[None, :, :], (R, 1, 1))
+        B = max(1, _CELLS // R)
+        for t0 in range(0, T, B):
+            t1 = min(T, t0 + B)
+            y = signals[:, t0:t1].T                       # (b, R)
+            lw = np.empty((t1 - t0 + 1,) + log_w.shape)
+            lw[0] = log_w
+            lw[1:, :, TYPE_COMMIT, :] = log_fhat_by_y[y]
+            lw[1:, :, TYPE_NORMAL, :] = logF0_by_ty[np.arange(t0, t1)[:, None], y]
+            for i in range(1, len(lw)):
+                np.add(lw[i - 1], lw[i], out=lw[i])
+            log_w = lw[-1].copy()
+            vals, b = evaluate(lw[:-1], np.arange(t0, t1)[:, None], F0_t[t0:t1])
+            at = np.s_[:, t0:t1]
+            store(at, vals, np.transpose, reply_payoff(at, b.T))
+        _, mu[:, T] = _reputation(log_w)
+    else:
+        # Stationary conjecture: states are (period, signal counts), found a
+        # strip of periods at a time (see the module docstring). Both ways of
+        # evaluating a strip do the same arithmetic on a state, so the choice,
+        # which depends on the number of runs, changes no bit of a run.
+        F0 = framework.normal_mix(conj_stat)              # (nM, nY)
+        log_lik = np.stack([np.log(F0).T, np.log(Fhat).T], axis=1)  # (nY, 2, nM)
+        u_by_reply = game.u.T                             # (nB, nA)
+        d = nY - 1                                        # counts in a state's key
+        chunk = _CELLS // 4                               # states per evaluation
+        # Counts and keys fit int32: a count is at most T, a key below a
+        # strip's run-periods, both at most _MAX_CELLS.
+        carry = np.zeros((d, R), dtype=np.int32)          # counts before the strip
+
+        def per_run_period(t0, cnt):
+            n_p = cnt.shape[2]
+            sb = max(1, chunk // R)
+            for s0 in range(0, n_p, sb):
+                s1 = min(n_p, s0 + sb)
+                shape = (R, s1 - s0)
+                t = np.tile(np.arange(t0 + s0, t0 + s1), R)
+                lw = _count_log_weights(log_prior, log_lik, t, (
+                    cnt[y, :, s0:s1].ravel() for y in range(d)))
+                vals, b = evaluate(lw, t, F0)
+                at = np.s_[:, t0 + s0:t0 + s1]
+                store(at, vals, lambda v: v.reshape(shape), reply_payoff(at, b.reshape(shape)))
+
+        def row_blocks(n_cols):
+            """Slices of about ``_CELLS`` run-periods' rows, for ``n_cols`` periods."""
+            step = max(1, _CELLS // n_cols)
+            return (slice(r0, r0 + step) for r0 in range(0, R, step))
+
+        def per_cell(t0, cnt, lo, width):
+            # A cell's key is its offset in the strip's box: periods in order,
+            # counts in mixed radix within a period, the first signal's
+            # fastest. Every term added lies between -T and the box's size.
+            n_p = cnt.shape[2]
+            sizes = np.prod(width, axis=0)
+            stride = np.cumprod(np.vstack([np.ones((1, n_p), np.int32), width[:-1]]),
+                                axis=0, dtype=np.int32)
+            end = np.cumsum(sizes)
+            key = cnt[0] if d else np.zeros((R, n_p), dtype=np.int32)
+            key += end - sizes - (lo[0] if d else 0)
+            for y in range(1, d):
+                key += (cnt[y] - lo[y]) * stride[y]
+            cells, rank = np.arange(end[-1]), None
+            if len(cells) > chunk:  # a box past one evaluation: keep the cells runs visit
+                seen = np.zeros(len(cells), dtype=bool)
+                for rows in row_blocks(n_p):
+                    seen[key[rows]] = True
+                cells = np.flatnonzero(seen)
+                rank = np.cumsum(seen, dtype=np.int32) - 1
+                # Freed before the evaluations: held through them, it left the
+                # heap too fragmented for the next batch's panels to reuse
+                # (peak RSS +24 MB over benchmark simulate rounds).
+                del seen
+            last = np.searchsorted(cells, end)            # cells listed up to each period's end
+            # Whole periods at a time, at most ``chunk`` cells unless one
+            # period holds more; the panels take a block of rows at a time.
+            j0 = 0
+            while j0 < n_p:
+                first = last[j0 - 1] if j0 else 0
+                j1 = max(j0 + 1, int(np.searchsorted(last, first + chunk, side="right")))
+                c = cells[first:last[j1 - 1]]
+                j = np.searchsorted(end, c, side="right")
+                local = c - (end - sizes)[j]
+                t = t0 + j
+                lw = _count_log_weights(log_prior, log_lik, t, (
+                    lo[y, j] + local // stride[y, j] % width[y, j] for y in range(d)))
+                vals, b = evaluate(lw, t, F0)
+                u_s = u_by_reply[b]                       # (cells, nA)
+                for rows in row_blocks(j1 - j0):
+                    at = (rows, slice(t0 + j0, t0 + j1))
+                    idx = key[rows, j0:j1]
+                    idx = np.subtract(idx if rank is None else rank[idx], first, dtype=np.intp)
+                    store(at, vals, lambda v: np.take(v, idx),
+                          np.take(u_s, idx * nA + actions[at]))
+                j0 = j1
+
+        def counts(t0, t1):
+            """Start-of-period counts (d, runs, periods) over [t0, t1); advances carry."""
+            sig = signals[:, t0:t1]
+            cnt = np.empty((d, R, t1 - t0), dtype=np.int32)
+            for y in range(d):
+                hit = sig == y
+                c = cnt[y]
+                c[:, 0] = carry[y]
+                c[:, 1:] = hit[:, :-1]
+                np.cumsum(c, axis=1, out=c)
+                carry[y] = c[:, -1] + hit[:, -1]
+            return cnt
+
+        def strip(t0, t1):
+            cnt = counts(t0, t1)
+            lo = cnt.min(axis=1)                          # (d, periods)
+            width = cnt.max(axis=1) - lo + 1
+            if np.prod(width, axis=0, dtype=float).sum() <= R * (t1 - t0):
+                per_cell(t0, cnt, lo, width)
+            else:
+                per_run_period(t0, cnt)
+
+        P = max(1, 8 * _CELLS // (R * max(1, d)))         # periods per strip
+        for t0 in range(0, T, P):
+            strip(t0, min(T, t0 + P))
+        final = _count_log_weights(log_prior, log_lik, np.full(R, T, dtype=np.intp), carry)
+        _, mu[:, T] = _reputation(final)
 
     return BatchResult(
         mu=mu, ell=ell, u_flow=u_flow, tv_gap=tv_gap, kl_term=kl_term,

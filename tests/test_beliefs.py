@@ -9,14 +9,16 @@ the forecast mixture, and the reply tie-breaking all at once.
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import expit, gammaln, logsumexp
 
 import repgame.beliefs
 from repgame.beliefs import (BeliefState, SimulationConfig, TrajectoryRecord,
-                             _draw, _logsumexp, _resolve_horizon, _schedule,
+                             _count_log_weights, _draw, _logsumexp, _reputation,
+                             _resolve_horizon, _schedule,
                              azuma_diagnostic, bayes_step,
                              certificate_kl_ceiling, decay_rate_fit,
                              discounted_kl_certificate, monte_carlo,
@@ -357,7 +359,10 @@ def test_azuma_rejects_commitment_paths():
 #
 # _reference_simulate is the simulator in its per-period form: one Python
 # iteration per period, scipy's logsumexp, one Philox generator built per run.
-# The blocked simulator must reproduce every panel column bit for bit, and
+# Its log weights are, under a stationary conjecture, log prior + sum_y
+# n_y(t) log F(y) over the signal counts n(t), added in signal order; under a
+# scripted one, the running sum of the per-period log-likelihoods. The
+# blocked simulator must reproduce every panel column bit for bit, and
 # kl_term within 1e-15 (the blocked simulator sums it in signal order, the
 # reference by a BLAS matrix-vector product).
 
@@ -414,7 +419,15 @@ def _reference_simulate(game, framework, config, run_indices):
 
     uniforms = _reference_uniforms(config.master_seed, run_indices, T)
     actions, signals = _reference_draw(uniforms, alpha_mat, R_mat)
-    log_w = np.tile(np.log(framework.prior)[None, :, :], (R, 1, 1))
+    log_prior = np.log(framework.prior)
+    log_w = np.tile(log_prior[None, :, :], (R, 1, 1))
+    counts = np.zeros((R, len(game.signals)), dtype=np.int64)
+
+    def count_log_weights():
+        lw = np.tile(log_prior[None, :, :], (R, 1, 1))
+        for y in range(counts.shape[1]):
+            lw += counts[:, y, None, None] * np.stack([logF0_const[:, y], log_fhat[:, y]])
+        return lw
 
     mu = np.empty((R, T + 1))
     ell = np.empty((R, T))
@@ -425,6 +438,7 @@ def _reference_simulate(game, framework, config, run_indices):
     for t in range(T):
         if conj_stat is not None:
             F0, logF0 = F0_const, logF0_const
+            log_w = count_log_weights()
         else:
             F0 = np.einsum("a,may->my", conj_mat[t], framework.normal_kernels)
             logF0 = np.log(F0)
@@ -453,7 +467,10 @@ def _reference_simulate(game, framework, config, run_indices):
 
         log_w[:, TYPE_COMMIT, :] += log_fhat[:, y_idx].T
         log_w[:, TYPE_NORMAL, :] += logF0[:, y_idx].T
+        counts[np.arange(R), y_idx] += 1
 
+    if conj_stat is not None:
+        log_w = count_log_weights()
     norm = logsumexp(log_w.reshape(R, -1), axis=1)
     mu[:, T] = np.exp(log_w - norm[:, None, None])[:, TYPE_COMMIT, :].sum(axis=1)
     return dict(mu=mu, ell=ell, u_flow=u_flow, tv_gap=tv_gap, kl_term=kl_term,
@@ -585,6 +602,138 @@ def test_survival_run_is_batch_row_at_any_batch_size(runs):
         rec = simulate_run(game, fw, cfg, run_index=k)
         for field in ("mu", "ell", "u_flow", "tv_gap", "kl_term", "actions", "signals"):
             assert np.array_equal(getattr(rec, field), getattr(batch, field)[k]), field
+
+
+def _three_signal_case(horizon):
+    game, fw = three_signal(0.6, 0.3, 0.2, 0.05, 0.6)
+    return game, fw, dict(normal_strategy=a_dist(game, [0.2, 0.8]))
+
+
+PANELS = ("mu", "ell", "u_flow", "tv_gap", "kl_term", "actions", "signals")
+
+
+# A 1-run batch has one cell per period and is evaluated per cell. Batches of
+# 2 and 7 runs (and of 64 and 500 with three signals) hold more cells in
+# their box of counts than run-periods and are evaluated per run-period.
+@pytest.mark.parametrize("case", ["two-models", "three-signal"])
+@pytest.mark.parametrize("runs", [1, 2, 7, 64, 500])
+def test_stationary_run_is_batch_row_at_any_batch_size(case, runs):
+    build = {"two-models": ORACLE_CASES["two-models"], "three-signal": _three_signal_case}[case]
+    game, fw, kw = build(400)
+    cfg = SimulationConfig(delta=0.95, master_seed=20261019, runs=runs, horizon=400, **kw)
+    batch = simulate_batch(game, fw, cfg)
+    for k in sorted({0, runs // 2, runs - 1}):
+        rec = simulate_run(game, fw, cfg, run_index=k)
+        for field in PANELS:
+            assert np.array_equal(getattr(rec, field), _row(batch, field, k)), field
+
+
+def _row(batch, field, k):
+    panel = getattr(batch, field)
+    return None if panel is None else panel[k]
+
+
+def test_long_runs_match_across_the_branch_switch():
+    # 3 runs over 20,000 periods: the strip's box of counts holds more cells
+    # than its run-periods, so the batch is evaluated per run-period, and each
+    # run alone per cell. A commitment slice 0.002 off the truth keeps the
+    # posterior away from 0 and 1 for the whole horizon.
+    game, fw = product_choice(0.6, 0.3, 0.002)
+    runs, horizon = 3, 20_000
+    cfg = SimulationConfig(delta=0.9999, master_seed=20261020, runs=runs, horizon=horizon,
+                           normal_strategy=a_dist(game, [1.0, 0.0]))
+    batch = simulate_batch(game, fw, cfg)
+    n_h = np.cumsum(batch.signals == 0, axis=1) - (batch.signals == 0)  # start-of-period counts
+    assert (n_h.max(axis=0) - n_h.min(axis=0) + 1).sum() > runs * horizon
+    assert 0.05 < batch.mu[:, -1].min() and batch.mu[:, -1].max() < 0.95
+    for k in range(runs):
+        rec = simulate_run(game, fw, cfg, run_index=k)
+        for field in PANELS:
+            assert np.array_equal(getattr(rec, field), _row(batch, field, k)), field
+
+
+STATIONARY_CASES = ["stationary", "commitment", "two-models", "survival", "17x16", "300-signals"]
+
+
+@pytest.mark.parametrize("case", STATIONARY_CASES)
+def test_stationary_batch_replays_through_bayes_step(case):
+    # the count form against the one-signal update, period by period: mu
+    # within 1e-9 relative, every other panel equal
+    runs, horizon = 3, 300
+    game, fw, kw = ORACLE_CASES[case](horizon)
+    cfg = SimulationConfig(delta=0.95, master_seed=20261018, runs=runs, horizon=horizon, **kw)
+    batch = simulate_batch(game, fw, cfg)
+    conj = cfg.normal_strategy if cfg.slp_conjecture is None else cfg.slp_conjecture
+    alpha = fw.commitment_action if cfg.true_type == "commitment" else cfg.normal_strategy
+    assert isinstance(conj, Distribution) and isinstance(alpha, Distribution)
+    row_v = alpha.weights @ game.v
+    loss = row_v.max() - row_v
+    actions, signals = _reference_draw(
+        _reference_uniforms(cfg.master_seed, np.arange(runs), horizon),
+        np.tile(alpha.weights, (horizon, 1)), game.rho.matrix)
+    assert np.array_equal(batch.actions, actions) and np.array_equal(batch.signals, signals)
+    for r in range(runs):
+        state = BeliefState.from_prior(fw)
+        for t in range(horizon + 1):
+            mu = state.reputation
+            assert abs(batch.mu[r, t] - mu) <= 1e-9 * max(mu, 1e-300), (r, t)
+            if t == horizon:
+                break
+            b = game.actions_short.index(br2(game, predictive(state, fw, conj))[0])
+            assert batch.ell[r, t] == loss[b], (r, t)
+            assert batch.u_flow[r, t] == game.u[actions[r, t], b], (r, t)
+            state = bayes_step(state, fw, int(signals[r, t]), conj)
+
+
+def test_count_form_log_weights_are_near_the_exact_sum():
+    # the long benchmark shape's first 8 runs at T = 5,000: the final log
+    # weights, log prior + sum_y n_y log F(y), against the exact rational sum
+    # of the same float64 terms (a running sum of 5,000 of them is off by
+    # about 1e-10 here)
+    game, fw = product_choice(0.6, 0.3, 0.15)
+    a_l = a_dist(game, [0.0, 1.0])
+    runs, horizon = 8, 5000
+    cfg = SimulationConfig(delta=0.95, master_seed=20260816, runs=runs, horizon=horizon,
+                           normal_strategy=a_l)
+    batch = simulate_batch(game, fw, cfg)
+    log_prior = np.log(fw.prior)
+    log_lik = np.stack([np.log(fw.normal_mix(a_l)).T, np.log(fw.commitment_slices).T], axis=1)
+    counts = [(batch.signals == y).sum(axis=1) for y in range(len(game.signals))]
+    lw = _count_log_weights(log_prior, log_lik, np.full(runs, horizon), counts[:-1])
+    for r in range(runs):
+        for h in np.ndindex(log_prior.shape):
+            exact = Fraction(log_prior[h]) + sum(
+                int(n[r]) * Fraction(log_lik[y][h]) for y, n in enumerate(counts))
+            assert abs(Fraction(lw[r][h]) - exact) <= Fraction(1, 10**12), (r, h)
+    assert np.array_equal(_reputation(lw)[1], batch.mu[:, -1])
+
+
+def test_mean_reputation_follows_the_binomial_law():
+    # E[mu_t] = sum_n Binom(n; t, rho(y_l | a_l)) mu(n), with mu(n) the
+    # posterior after n bad signals in t periods; 20,000 runs, in batches of
+    # 5,000 (rows do not depend on the batch). The standard error is the
+    # law's own: past t = 50 the mean rests on paths too rare for a sample's
+    # spread to show.
+    game, fw = product_choice(0.6, 0.3, 0.15)
+    a_l = a_dist(game, [0.0, 1.0])
+    ts = [10, 50, 100, 300]
+    cfg = SimulationConfig(delta=0.95, master_seed=20261021, runs=5000, horizon=ts[-1],
+                           normal_strategy=a_l)
+    mu = np.vstack([repgame.beliefs._simulate(game, fw, cfg, np.arange(r0, r0 + 5000)).mu[:, ts]
+                    for r0 in range(0, 20_000, 5000)])
+    rho_l = game.rho.matrix[1, 1]
+    log_c = np.log(fw.commitment_slices[0])
+    log_n = np.log(fw.normal_mix(a_l)[0])
+    for j, t in enumerate(ts):
+        n = np.arange(t + 1)
+        log_pmf = (gammaln(t + 1) - gammaln(n + 1) - gammaln(t - n + 1)
+                   + n * math.log(rho_l) + (t - n) * math.log(1.0 - rho_l))
+        llr = (math.log(fw.prior[TYPE_COMMIT, 0] / fw.prior[TYPE_NORMAL, 0])
+               + n * (log_c[1] - log_n[1]) + (t - n) * (log_c[0] - log_n[0]))
+        pmf, mu_n = np.exp(log_pmf), expit(llr)
+        exact = float(pmf @ mu_n)
+        se = math.sqrt((float(pmf @ mu_n**2) - exact**2) / len(mu))
+        assert abs(mu[:, j].mean() - exact) <= 4.0 * se, (t, mu[:, j].mean(), exact, se)
 
 
 # horizon 5: a chunk of the draw holds 1, 3 and all 4 runs
