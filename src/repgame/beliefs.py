@@ -31,10 +31,9 @@ are evaluated about 2**14 at a time.
 
 Every panel column, ``kl_term`` included, is computed per run with the same
 floating-point steps at any batch size, so run ``i`` of a 1000-run batch is
-bit-identical to run ``i`` simulated alone. The one exception is the
-forecast, a BLAS product with one row per state: OpenBLAS rounds a row alike
-at any batch size for the one- and two-model frameworks the tests cover, but
-not always with four models.
+bit-identical to run ``i`` simulated alone. The forecast is one of them: it
+is summed over models in model order (``_mix``), not a BLAS product, whose
+rounding of a row can depend on how many rows it multiplies.
 
 A batch holds about 34 bytes per run-period: four float64 panels (``mu``,
 ``ell``, ``u_flow``, ``tv_gap``) and the two uint8 index panels; ``kl_term``
@@ -119,8 +118,8 @@ def predictive(state: BeliefState, framework: Framework,
     hypotheses predict through the conjectured normal-type mixed action.
     """
     post = state.posterior
-    q = (post[TYPE_COMMIT] @ framework.commitment_slices
-         + post[TYPE_NORMAL] @ framework.normal_mix(conjectured_alpha))
+    q = (_mix(post[TYPE_COMMIT], framework.commitment_slices)
+         + _mix(post[TYPE_NORMAL], framework.normal_mix(conjectured_alpha)))
     return Distribution(framework.signals, q)
 
 
@@ -366,6 +365,19 @@ def _sum_cols(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mix(w: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """``sum_m w[..., m] * F[..., m, :]``, added in model order: the forecast
+    of posterior weights ``w`` over models with signal laws ``F``. One signal
+    column at a time, so each operation runs along the states."""
+    q = np.empty(np.broadcast_shapes(w.shape[:-1], F.shape[:-2]) + F.shape[-1:])
+    for y in range(F.shape[-1]):
+        col = q[..., y]
+        np.multiply(w[..., 0], F[..., 0, y], out=col)
+        for m in range(1, w.shape[-1]):
+            col += w[..., m] * F[..., m, y]
+    return q
+
+
 def _max_cols(x: np.ndarray) -> np.ndarray:
     """``x.max(axis=-1)``, one column at a time."""
     out = x[..., 0].copy()
@@ -501,9 +513,8 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
         with log weights ``lw`` (..., 2, nM) at periods ``t``. A state's values
         depend on its own log weights and period alone. Overwrites ``lw``."""
         post, mu_s = _reputation(lw)
-        # One product row per state (see the module docstring on BLAS).
-        q = post[..., TYPE_COMMIT, :] @ Fhat
-        q += post[..., TYPE_NORMAL, :] @ F0
+        q = _mix(post[..., TYPE_COMMIT, :], Fhat)
+        q += _mix(post[..., TYPE_NORMAL, :], F0)
         replies = best_replies(game, q)
         b = np.full(replies.shape[:-1], nB - 1)  # the first best reply; some reply is best
         for j in range(nB - 2, -1, -1):
@@ -552,7 +563,7 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
             for i in range(1, len(lw)):
                 np.add(lw[i - 1], lw[i], out=lw[i])
             log_w = lw[-1].copy()
-            vals, b = evaluate(lw[:-1], np.arange(t0, t1)[:, None], F0_t[t0:t1])
+            vals, b = evaluate(lw[:-1], np.arange(t0, t1)[:, None], F0_t[t0:t1, None])
             at = np.s_[:, t0:t1]
             store(at, vals, np.transpose, reply_payoff(at, b.T))
         _, mu[:, T] = _reputation(log_w)

@@ -1,9 +1,10 @@
 """repgame command line.
 
 Subcommands: check-separation, bounds, stackelberg, simulate, verify,
-scenario (list | emit <name> [key=value ...]). Everything reads one JSON
-config document (--config) and prints one JSON report, so runs are easy to
-diff and to script. Exit codes are a stable contract: 0 success, 1 a
+scenario (list | emit <name> [key=value ...]). The answers read one JSON
+config document (--config) and print one JSON report, so runs are easy to
+diff and to script. Each subcommand takes only the flags it reads; any other
+flag is a usage error. Exit codes are a stable contract: 0 success, 1 a
 verification suite failed, 2 bad configuration, 3 I/O trouble.
 """
 
@@ -206,45 +207,47 @@ def cmd_scenario(args) -> int:
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The repgame parser, built once per process: building it costs about
-    twenty parses, and parsing leaves it unchanged."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a JSON experiment config")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--seed", type=int, help="override master_seed")
-    common.add_argument("--grid", type=float, help="override grid resolution")
-    common.add_argument("--runs", type=int, help="override Monte Carlo run count")
-    common.add_argument("--delta", type=float, help="override the discount factor")
-
+    twenty parses, and parsing leaves it unchanged. Each subcommand takes
+    only the flags it reads; any other is an argparse error (exit 2)."""
+    flags = {
+        "--config": dict(help="path to a JSON experiment config"),
+        "--out": dict(help="output directory"),
+        "--seed": dict(type=int, help="override master_seed"),
+        "--grid": dict(type=float, help="override grid resolution"),
+        "--runs": dict(type=int, help="override Monte Carlo run count"),
+        "--delta": dict(type=float, help="override the discount factor"),
+    }
     parser = argparse.ArgumentParser(
         prog="repgame",
         description="Separation tests, payoff bounds, and misspecified-belief "
                     "simulations for reputation games.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("check-separation", parents=[common],
-                   help="decide whether the framework is commitment-separating"
-                   ).set_defaults(fn=cmd_check_separation)
-    sub.add_parser("bounds", parents=[common],
-                   help="payoff interval, commitment values, reputation floor"
-                   ).set_defaults(fn=cmd_bounds)
-    sub.add_parser("stackelberg", parents=[common],
-                   help="commitment payoffs under adversarial tie-breaking"
-                   ).set_defaults(fn=cmd_stackelberg)
-    sub.add_parser("simulate", parents=[common],
-                   help="Monte Carlo belief dynamics; writes CSV + JSON summary"
-                   ).set_defaults(fn=cmd_simulate)
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="run the self-check suites")
+    def command(name, fn, text, *names):
+        p = sub.add_parser(name, help=text)
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(fn=fn)
+        return p
+
+    command("check-separation", cmd_check_separation,
+            "decide whether the framework is commitment-separating", "--config")
+    command("bounds", cmd_bounds,
+            "payoff interval, commitment values, reputation floor", "--config", "--grid")
+    command("stackelberg", cmd_stackelberg,
+            "commitment payoffs under adversarial tie-breaking", "--config", "--grid")
+    command("simulate", cmd_simulate,
+            "Monte Carlo belief dynamics; writes CSV + JSON summary",
+            "--config", "--out", "--seed", "--runs", "--delta")
+    p_verify = command("verify", cmd_verify, "run the self-check suites")
     p_verify.add_argument("suite", nargs="?", default="all",
                           help="suite name or 'all' (default)")
-    p_verify.set_defaults(fn=cmd_verify)
-    p_scen = sub.add_parser("scenario", parents=[common],
-                            help="list canned scenarios or emit one as JSON")
+    p_scen = command("scenario", cmd_scenario,
+                     "list canned scenarios or emit one as JSON", "--out")
     p_scen.add_argument("action", choices=("list", "emit"))
     p_scen.add_argument("name", nargs="?", help="scenario name (for emit)")
     p_scen.add_argument("params", nargs="*", default=[],
                         help="scenario parameters as key=value")
-    p_scen.set_defaults(fn=cmd_scenario)
     return parser
 
 

@@ -104,15 +104,13 @@ class SimplexMinResult:
 def minimize_convex_over_simplex(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     n: int,
-    *,
-    gap_tol: float = FW_GAP_TOL,
-    max_iter: int = FW_MAX_ITER,
 ) -> SimplexMinResult:
     """Conditional-gradient descent with away steps and exact line search.
 
     The Frank-Wolfe gap g(x) . (x - e_s), s the best vertex, upper-bounds the
-    suboptimality of a convex objective, so stopping at ``gap_tol`` certifies
-    the returned value to the same accuracy. Away steps restore linear
+    suboptimality of a convex objective, so stopping at ``FW_GAP_TOL``
+    certifies the returned value to the same accuracy; ``FW_MAX_ITER`` caps
+    the iterations. Both are read at call time. Away steps restore linear
     convergence when the optimum sits on a face.
 
     The line search minimizes phi(gamma) = f(x + gamma d) on [0, gamma_max].
@@ -126,10 +124,10 @@ def minimize_convex_over_simplex(
     val, grad = value_and_grad(x)
     it = 0
     gap = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, FW_MAX_ITER + 1):
         s = int(np.argmin(grad))
         gap = float(grad @ x - grad[s])
-        if gap <= gap_tol:
+        if gap <= FW_GAP_TOL:
             return SimplexMinResult(x, val, gap, it, True)
         support = np.flatnonzero(x > 0.0)
         a = int(support[np.argmax(grad[support])])
@@ -160,7 +158,7 @@ def minimize_convex_over_simplex(
         x /= x.sum()
         val, grad = value_and_grad(x)
     warnings.warn(
-        f"simplex minimization stopped at iteration cap {max_iter} with gap {gap:.3e}",
+        f"simplex minimization stopped at iteration cap {FW_MAX_ITER} with gap {gap:.3e}",
         RuntimeWarning,
         stacklevel=2,
     )
@@ -312,8 +310,7 @@ class MinKLResult:
     converged: bool
 
 
-def min_kl_over_attainable(q: Distribution, rho: SignalStructure, *,
-                           gap_tol: float = FW_GAP_TOL, max_iter: int = FW_MAX_ITER) -> MinKLResult:
+def min_kl_over_attainable(q: Distribution, rho: SignalStructure) -> MinKLResult:
     """min over mixed actions alpha of D(rho_alpha || q).
 
     Convex in alpha (the first argument is linear in alpha and relative
@@ -332,7 +329,7 @@ def min_kl_over_attainable(q: Distribution, rho: SignalStructure, *,
         log_ratio = np.log(m) - log_q
         return float(m @ log_ratio), R @ log_ratio + 1.0
 
-    res = minimize_convex_over_simplex(f, R.shape[0], gap_tol=gap_tol, max_iter=max_iter)
+    res = minimize_convex_over_simplex(f, R.shape[0])
     value = max(res.value, 0.0)
     return MinKLResult(value, Distribution(rho.actions, res.point), res.gap, res.iterations, res.converged)
 

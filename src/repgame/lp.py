@@ -11,7 +11,8 @@ module scipy's ``linprog(method="highs")`` drives. It passes HiGHS the model
 that call builds: the rows [A_ub; A_eq] as one CSC matrix, row bounds
 (-inf, b_ub] and [b_eq, b_eq], the column bounds as given, and the same five
 options (presolve on, dual simplex, no debug, log or output) on a fresh
-solver per solve. Its status codes are scipy's, including the demotion of an
+solver per solve, the model in one call to HiGHS's flat ``passModel``, whole
+arrays at a time. Its status codes are scipy's, including the demotion of an
 optimal status to 4 when the solution misses a bound or a row by more than
 ``CHECK_TOL``. What it leaves out is the wrapper's per-call cost: input
 cleaning, option re-validation, sparse stacking and the per-column loop over
@@ -103,23 +104,17 @@ def linprog(c: np.ndarray, A: tuple[np.ndarray, np.ndarray, np.ndarray],
     ``lb`` and ``ub`` hold -inf and inf where a column is unbounded."""
     core, opts, to_status = _load()
     data, indices, indptr = A
-    n_ub = len(b_ub)
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_ub + len(b_eq)
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.col_cost_ = c
-    lp.col_lower_ = lb
-    lp.col_upper_ = ub
-    lp.row_lower_ = np.concatenate([np.full(n_ub, -np.inf), b_eq])
-    lp.row_upper_ = np.concatenate([b_ub, b_eq])
-    lp.a_matrix_.start_ = indptr
-    lp.a_matrix_.index_ = indices
-    lp.a_matrix_.value_ = data
+    n_col, n_ub = len(c), len(b_ub)
     highs = core._Highs()
     if highs.passOptions(opts) == core.HighsStatus.kError:
         model_status = highs.getModelStatus()
-    elif highs.passModel(lp) == core.HighsStatus.kError:
+    elif highs.passModel(
+            n_col, n_ub + len(b_eq), len(data), core.MatrixFormat.kColwise,
+            core.ObjSense.kMinimize, 0.0, c, lb, ub,
+            np.concatenate([np.full(n_ub, -np.inf), b_eq]), np.concatenate([b_ub, b_eq]),
+            indptr, indices, data,
+            np.zeros(n_col, np.int32),  # all continuous; an empty array is a model error
+            ) == core.HighsStatus.kError:
         model_status = core.HighsModelStatus.kModelError
     else:
         highs.run()

@@ -114,8 +114,10 @@ def three_signal(p: float, q: float, r: float, epsilon: float, x: float,
         raise ValueError(
             f"epsilon={epsilon} leaves no mass on y_l (needs r+epsilon < {1.0 - y_h})")
     signals = ("y_h", "y_l", "y_u")
-    rho = SignalStructure(_ACTIONS_LONG, signals,
-                          np.array([[p, 1.0 - p - r, r], [q, 1.0 - q - r, r]]))
+    # rho and the normal kernels each normalize these raw rows once: a second
+    # pass over rho.matrix can move a row by an ulp (rows that sum to 1 + eps).
+    raw = np.array([[p, 1.0 - p - r, r], [q, 1.0 - q - r, r]])
+    rho = SignalStructure(_ACTIONS_LONG, signals, raw)
     game = StageGame(_ACTIONS_LONG, _ACTIONS_SHORT, signals,
                      _U, _lift_v_tilde(rho, _V), rho)
     f_hat = np.array([y_h, y_l, r + epsilon])
@@ -123,7 +125,7 @@ def three_signal(p: float, q: float, r: float, epsilon: float, x: float,
         models=("m0",),
         actions=_ACTIONS_LONG,
         signals=signals,
-        normal_kernels=rho.matrix[None, :, :].copy(),
+        normal_kernels=raw[None, :, :],
         commitment_kernels=np.stack([np.stack([f_hat, f_hat])]),
         prior=_prior(mu0, 1),
         commitment_action=Distribution(_ACTIONS_LONG, np.array([x, 1.0 - x])),

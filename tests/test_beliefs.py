@@ -361,8 +361,9 @@ def test_azuma_rejects_commitment_paths():
 # iteration per period, scipy's logsumexp, one Philox generator built per run.
 # Its log weights are, under a stationary conjecture, log prior + sum_y
 # n_y(t) log F(y) over the signal counts n(t), added in signal order; under a
-# scripted one, the running sum of the per-period log-likelihoods. The
-# blocked simulator must reproduce every panel column bit for bit, and
+# scripted one, the running sum of the per-period log-likelihoods. Its
+# forecast adds the models' signal laws in model order. The blocked
+# simulator must reproduce every panel column bit for bit, and
 # kl_term within 1e-15 (the blocked simulator sums it in signal order, the
 # reference by a BLAS matrix-vector product).
 
@@ -446,7 +447,8 @@ def _reference_simulate(game, framework, config, run_indices):
         norm = logsumexp(log_w.reshape(R, -1), axis=1)
         post = np.exp(log_w - norm[:, None, None])
         mu[:, t] = post[:, TYPE_COMMIT, :].sum(axis=1)
-        q = post[:, TYPE_COMMIT, :] @ Fhat + post[:, TYPE_NORMAL, :] @ F0
+        q = (sum(post[:, TYPE_COMMIT, m, None] * Fhat[m] for m in range(len(Fhat)))
+             + sum(post[:, TYPE_NORMAL, m, None] * F0[m] for m in range(len(F0))))
 
         vals = q @ game.v_tilde.T
         top = vals.max(axis=1)
@@ -615,14 +617,16 @@ PANELS = ("mu", "ell", "u_flow", "tv_gap", "kl_term", "actions", "signals")
 # A 1-run batch has one cell per period and is evaluated per cell. Batches of
 # 2 and 7 runs (and of 64 and 500 with three signals) hold more cells in
 # their box of counts than run-periods and are evaluated per run-period.
-@pytest.mark.parametrize("case", ["two-models", "three-signal"])
+# four-models is scripted, with eight hypotheses: there a BLAS forecast
+# rounded rows 0, 1, the middle and the last differently by batch size.
+@pytest.mark.parametrize("case", ["two-models", "three-signal", "four-models"])
 @pytest.mark.parametrize("runs", [1, 2, 7, 64, 500])
 def test_stationary_run_is_batch_row_at_any_batch_size(case, runs):
-    build = {"two-models": ORACLE_CASES["two-models"], "three-signal": _three_signal_case}[case]
+    build = {**ORACLE_CASES, "three-signal": _three_signal_case}[case]
     game, fw, kw = build(400)
     cfg = SimulationConfig(delta=0.95, master_seed=20261019, runs=runs, horizon=400, **kw)
     batch = simulate_batch(game, fw, cfg)
-    for k in sorted({0, runs // 2, runs - 1}):
+    for k in sorted({0, min(1, runs - 1), runs // 2, runs - 1}):
         rec = simulate_run(game, fw, cfg, run_index=k)
         for field in PANELS:
             assert np.array_equal(getattr(rec, field), _row(batch, field, k)), field

@@ -212,6 +212,18 @@ def test_simulate_csv_is_batch_row_0(capsys, monkeypatch, ce_config, tmp_path):
         assert np.array_equal(cols[name], values), name
 
 
+def test_simulate_three_signal(capsys, tmp_path):
+    doc = emit_scenario_document("three_signal", {"p": 0.6, "q": 0.3, "r": 0.1,
+                                                  "epsilon": 0.02, "x": 0.55})
+    doc["simulation"] = {"delta": 0.9, "runs": 3, "horizon": 30, "master_seed": 5,
+                         "normal_strategy": [0.55, 0.45]}
+    path = tmp_path / "ts.json"
+    dump_document(doc, path)
+    code, out, err = run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    assert json.loads(out)["runs"] == 3
+
+
 def test_simulate_is_reproducible(capsys, sim_config, tmp_path):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     code1, out1, _ = run(capsys, "simulate", "--config", sim_config, "--out", str(d1))
@@ -385,6 +397,41 @@ def test_main_runs_different_subcommands_in_one_process(capsys, sim_config):
     assert "invalid float value" in capsys.readouterr().err
     code, out, _ = run(capsys, "scenario", "list")
     assert code == 0 and "product_choice" in out
+
+
+# The flags each subcommand reads, and nothing more: 11 settable values.
+READS = {
+    "check-separation": ["--config"],
+    "bounds": ["--config", "--grid"],
+    "stackelberg": ["--config", "--grid"],
+    "simulate": ["--config", "--out", "--seed", "--runs", "--delta"],
+    "scenario": ["--out"],
+    "verify": [],
+}
+FLAG_VALUES = {"--config": "cfg.json", "--out": "out", "--seed": "9", "--grid": "0.05",
+               "--runs": "3", "--delta": "0.5"}
+BASE_ARGV = {"check-separation": [], "bounds": [], "stackelberg": [], "simulate": [],
+             "scenario": ["list"], "verify": ["plumbing"]}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, names in READS.items()
+                                           for f in names])
+def test_subcommand_parses_each_flag_it_reads(command, flag):
+    args = repgame.cli._build_parser().parse_args(
+        [command, *BASE_ARGV[command], flag, FLAG_VALUES[flag]])
+    assert str(getattr(args, flag[2:])) == FLAG_VALUES[flag]
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, names in READS.items()
+                                           for f in FLAG_VALUES if f not in names])
+def test_subcommand_rejects_each_flag_it_does_not_read(capsys, sim_config, command, flag):
+    argv = [command, *BASE_ARGV[command], flag, FLAG_VALUES[flag]]
+    if "--config" in READS[command]:
+        argv += ["--config", sim_config]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite(capsys):

@@ -121,7 +121,7 @@ def test_simplex_minimizer_vertex_optimum():
     assert res.value == pytest.approx(2.0, abs=1e-8)
 
 
-def test_simplex_minimizer_iteration_cap_warns():
+def test_simplex_minimizer_iteration_cap_warns(monkeypatch):
     # interior optimum off the first search segment, zero gap tolerance:
     # two iterations cannot finish, so the cap warning must fire
     target = np.array([0.5, 0.3, 0.2])
@@ -129,15 +129,17 @@ def test_simplex_minimizer_iteration_cap_warns():
     def f(x):
         return float(np.sum((x - target) ** 2)), 2.0 * (x - target)
 
-    with pytest.warns(RuntimeWarning, match="iteration cap"):
-        res = minimize_convex_over_simplex(f, 3, gap_tol=0.0, max_iter=2)
+    monkeypatch.setattr(repgame.divergence, "FW_GAP_TOL", 0.0)
+    monkeypatch.setattr(repgame.divergence, "FW_MAX_ITER", 2)
+    with pytest.warns(RuntimeWarning, match="iteration cap 2 "):
+        res = minimize_convex_over_simplex(f, 3)
     assert not res.converged
 
 
-def test_simplex_minimizer_survives_rounding_level_gaps():
-    # At gap_tol 0 this interior projection reaches a step whose phi'(0) =
-    # grad . d has rounded to >= 0: the root-find has no bracket there, so the
-    # step must be skipped rather than raise.
+def test_simplex_minimizer_survives_rounding_level_gaps(monkeypatch):
+    # At an FW_GAP_TOL of 0 this interior projection reaches a step whose
+    # phi'(0) = grad . d has rounded to >= 0: the root-find has no bracket
+    # there, so the step must be skipped rather than raise.
     R = np.array([[0.6442357150065474, 0.2470017309792342, 0.10876255401421847],
                   [0.2796691055355149, 0.6523560377286913, 0.06797485673579381],
                   [0.07859548211925348, 0.7330807981483237, 0.18832371973242282],
@@ -146,7 +148,9 @@ def test_simplex_minimizer_survives_rounding_level_gaps():
                       0.2399268335271066, 0.23372760806579318])
     labels = ("y0", "y1", "y2")
     rho = SignalStructure(("a0", "a1", "a2", "a3"), labels, R)
-    res = min_kl_over_attainable(Distribution(labels, alpha @ R), rho, gap_tol=0.0, max_iter=100)
+    monkeypatch.setattr(repgame.divergence, "FW_GAP_TOL", 0.0)
+    monkeypatch.setattr(repgame.divergence, "FW_MAX_ITER", 100)
+    res = min_kl_over_attainable(Distribution(labels, alpha @ R), rho)
     assert res.converged
     assert res.value <= 1e-15
 
@@ -186,17 +190,18 @@ def test_hull_membership_label_check():
 
 # -- root-find line search and dual certificate vs their references ----------
 
-def bisection_minimize(value_and_grad, n, *, gap_tol=1e-10, max_iter=100_000):
-    """Reference: minimize_convex_over_simplex with its line search done by
-    80 bisection steps on phi'. Test-only; the library root-finds instead."""
+def bisection_minimize(value_and_grad, n):
+    """Reference: minimize_convex_over_simplex, with the same FW_GAP_TOL and
+    FW_MAX_ITER, and its line search done by up to 80 bisection steps on
+    phi'. Test-only; the library root-finds instead."""
     x = np.full(n, 1.0 / n)
     val, grad = value_and_grad(x)
     it = 0
     gap = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, repgame.divergence.FW_MAX_ITER + 1):
         s = int(np.argmin(grad))
         gap = float(grad @ x - grad[s])
-        if gap <= gap_tol:
+        if gap <= repgame.divergence.FW_GAP_TOL:
             return SimplexMinResult(x, val, gap, it, True)
         support = np.flatnonzero(x > 0.0)
         a = int(support[np.argmax(grad[support])])
@@ -220,6 +225,8 @@ def bisection_minimize(value_and_grad, n, *, gap_tol=1e-10, max_iter=100_000):
             lo, hi = 0.0, gamma_max
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:  # adjacent doubles: no further step moves them
+                    break
                 if dphi(mid) <= 0.0:
                     lo = mid
                 else:
@@ -282,17 +289,18 @@ def random_slices(seed, count):
 
 @pytest.mark.filterwarnings("ignore:simplex minimization stopped")
 def test_root_find_line_search_matches_bisection(monkeypatch):
-    # max_iter 300 keeps the bisection reference affordable; the few interior
-    # 3+-action slices that need more stop unconverged on both sides, where
-    # each value is certified only to its own FW gap
-    gap_tol, converged = 1e-10, []
+    # a cap of 300 iterations keeps the bisection reference affordable; the
+    # few interior 3+-action slices that need more stop unconverged on both
+    # sides, where each value is certified only to its own FW gap
+    monkeypatch.setattr(repgame.divergence, "FW_MAX_ITER", 300)
+    converged = []
     for q, rho in random_slices(11, 200):
-        new = min_kl_over_attainable(q, rho, gap_tol=gap_tol, max_iter=300)
+        new = min_kl_over_attainable(q, rho)
         with monkeypatch.context() as m:
             m.setattr(repgame.divergence, "minimize_convex_over_simplex", bisection_minimize)
-            ref = min_kl_over_attainable(q, rho, gap_tol=gap_tol, max_iter=300)
+            ref = min_kl_over_attainable(q, rho)
         assert new.converged == ref.converged
-        tol = gap_tol if new.converged else max(new.gap, ref.gap)
+        tol = repgame.divergence.FW_GAP_TOL if new.converged else max(new.gap, ref.gap)
         assert new.value == pytest.approx(ref.value, abs=tol)
         converged.append(new.converged)
     assert 0 < sum(converged) < len(converged)
@@ -331,11 +339,11 @@ def test_root_find_costs_under_twenty_objective_calls_per_iteration(monkeypatch)
     calls = []
     real = repgame.divergence.minimize_convex_over_simplex
 
-    def counting(value_and_grad, n, **kwargs):
+    def counting(value_and_grad, n):
         def counted(x):
             calls.append(1)
             return value_and_grad(x)
-        return real(counted, n, **kwargs)
+        return real(counted, n)
 
     monkeypatch.setattr(repgame.divergence, "minimize_convex_over_simplex", counting)
     labels = ("y0", "y1", "y2")
@@ -379,8 +387,9 @@ def test_brentq_port_matches_scipy_on_recorded_line_searches(monkeypatch):
         return float.fromhex(got)
 
     monkeypatch.setattr(repgame.divergence, "_brentq", record)
+    monkeypatch.setattr(repgame.divergence, "FW_MAX_ITER", 300)
     for q, rho in random_slices(13, 60):
-        min_kl_over_attainable(q, rho, max_iter=300)
+        min_kl_over_attainable(q, rho)
     assert len(seen) > 1000
 
 
