@@ -168,15 +168,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in rows) else EXIT_VERIFY_FAILED
 
 
-def cmd_scenario(args) -> int:
-    if args.action == "list":
-        for name, (fn, sig) in SCENARIOS.items():
-            params = ", ".join(k if d is None else f"{k}={d}" for k, d in sig)
-            print(f"{name}({params})")
-        return EXIT_OK
-    # emit
-    if not args.name:
-        raise ConfigError("scenario emit needs a scenario name")
+def cmd_scenario_list(args) -> int:
+    for name, (fn, sig) in SCENARIOS.items():
+        params = ", ".join(k if d is None else f"{k}={d}" for k, d in sig)
+        print(f"{name}({params})")
+    return EXIT_OK
+
+
+def cmd_scenario_emit(args) -> int:
     params = {}
     for item in args.params:
         if "=" not in item:
@@ -223,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "simulations for reputation games.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, text, *names):
+    def command(name, fn, text, *names, sub=sub):
         p = sub.add_parser(name, help=text)
         for flag in names:
             p.add_argument(flag, **flags[flag])
@@ -242,11 +241,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = command("verify", cmd_verify, "run the self-check suites")
     p_verify.add_argument("suite", nargs="?", default="all",
                           help="suite name or 'all' (default)")
-    p_scen = command("scenario", cmd_scenario,
-                     "list canned scenarios or emit one as JSON", "--out")
-    p_scen.add_argument("action", choices=("list", "emit"))
-    p_scen.add_argument("name", nargs="?", help="scenario name (for emit)")
-    p_scen.add_argument("params", nargs="*", default=[],
+    p_scen = sub.add_parser("scenario", help="list canned scenarios or emit one as JSON")
+    scen = p_scen.add_subparsers(dest="action", required=True)
+    command("list", cmd_scenario_list, "list the canned scenarios", sub=scen)
+    p_emit = command("emit", cmd_scenario_emit, "emit one scenario as a config document",
+                     "--out", sub=scen)
+    p_emit.add_argument("name", help="scenario name")
+    p_emit.add_argument("params", nargs="*", default=[],
                         help="scenario parameters as key=value")
     return parser
 

@@ -405,27 +405,29 @@ READS = {
     "bounds": ["--config", "--grid"],
     "stackelberg": ["--config", "--grid"],
     "simulate": ["--config", "--out", "--seed", "--runs", "--delta"],
-    "scenario": ["--out"],
+    "scenario list": [],
+    "scenario emit": ["--out"],
     "verify": [],
 }
 FLAG_VALUES = {"--config": "cfg.json", "--out": "out", "--seed": "9", "--grid": "0.05",
                "--runs": "3", "--delta": "0.5"}
 BASE_ARGV = {"check-separation": [], "bounds": [], "stackelberg": [], "simulate": [],
-             "scenario": ["list"], "verify": ["plumbing"]}
+             "scenario list": [], "scenario emit": ["product_choice"],
+             "verify": ["plumbing"]}
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c, names in READS.items()
                                            for f in names])
 def test_subcommand_parses_each_flag_it_reads(command, flag):
     args = repgame.cli._build_parser().parse_args(
-        [command, *BASE_ARGV[command], flag, FLAG_VALUES[flag]])
+        [*command.split(), *BASE_ARGV[command], flag, FLAG_VALUES[flag]])
     assert str(getattr(args, flag[2:])) == FLAG_VALUES[flag]
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c, names in READS.items()
                                            for f in FLAG_VALUES if f not in names])
 def test_subcommand_rejects_each_flag_it_does_not_read(capsys, sim_config, command, flag):
-    argv = [command, *BASE_ARGV[command], flag, FLAG_VALUES[flag]]
+    argv = [*command.split(), *BASE_ARGV[command], flag, FLAG_VALUES[flag]]
     if "--config" in READS[command]:
         argv += ["--config", sim_config]
     with pytest.raises(SystemExit) as exc:
