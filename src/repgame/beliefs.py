@@ -77,6 +77,7 @@ __all__ = [
 
 Strategy = Union[Distribution, Sequence[Distribution]]
 
+TRUNCATION_TOL = 1e-4       # discounted tail a derived horizon may discard
 _HORIZON_SLACK = 1e-12      # relative slack on a derived horizon's discarded tail
 _DECAY_WINDOW = 0.5         # trailing share of the curve that decay_rate_fit fits
 SAME_STRATEGY_ATOL = 1e-12  # play is at the target or the conjecture within this
@@ -148,7 +149,7 @@ class SimulationConfig:
     per-period sequence; ``slp_conjecture`` defaults to the same thing, i.e.
     the short-run players conjecture the normal type's actual strategy. When
     ``horizon`` is None it is derived from delta so the discarded discounted
-    tail is below ``truncation_tol`` (or taken from the script length).
+    tail is below ``TRUNCATION_TOL`` (or taken from the script length).
     ``alpha_star_target`` switches on per-period recording of
     KL(rho_target || forecast), the raw material of the survival certificate.
     """
@@ -160,7 +161,6 @@ class SimulationConfig:
     normal_strategy: Strategy | None = None
     slp_conjecture: Strategy | None = None
     horizon: int | None = None
-    truncation_tol: float = 1e-4
     alpha_star_target: Distribution | None = None
 
 
@@ -282,14 +282,12 @@ def _resolve_horizon(game: StageGame, config: SimulationConfig) -> tuple[int, fl
         if n_script is not None:
             T = n_script
         else:
-            if not config.truncation_tol > 0:
-                raise ValueError("truncation_tol must be positive")
-            T = max(1, math.ceil(math.log(config.truncation_tol / scale)
+            T = max(1, math.ceil(math.log(TRUNCATION_TOL / scale)
                                  / math.log(config.delta)))
             if T > 5_000_000:
                 raise ValueError(
                     f"derived horizon {T} is impractical; set horizon explicitly")
-            assert scale * config.delta ** T <= config.truncation_tol * (1 + _HORIZON_SLACK)
+            assert scale * config.delta ** T <= TRUNCATION_TOL * (1 + _HORIZON_SLACK)
     return T, float(scale * config.delta ** T)
 
 
@@ -458,13 +456,9 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
         raise ValueError("normal_strategy is required (it also seeds the default conjecture)")
     if config.master_seed is None:
         raise ValueError("master_seed is required; draw one and fix it for reproducibility")
-    if framework.normal_correctly_specified:
-        framework.assert_normal_consistent(game.rho)
 
     T, truncation = _resolve_horizon(game, config)
     R = len(run_indices)
-    if R < 1:
-        raise ValueError("need at least one run")
     if R * T > _MAX_CELLS:
         raise ValueError(f"runs*horizon = {R * T} run-periods, above the cap of "
                          f"{_MAX_CELLS}; lower runs or the horizon")
@@ -905,7 +899,10 @@ def azuma_diagnostic(batch: BatchResult, game: StageGame, framework: Framework,
     For every (commitment model, normal model) pair the running log-likelihood
     ratio S_t drifts down at rate at least zeta whenever zeta is at most the
     separation value; the bound controls P(S_t >= -zeta t / 2). Empirical tails
-    are maximized over pairs, the bound uses the worst-case K over pairs.
+    are maximized over pairs, the bound uses the worst-case K over pairs. The
+    paths must come from the normal type playing a stationary strategy the
+    short-run players conjecture correctly, and every normal kernel must equal
+    rho.
     """
     cfg = batch.config
     rep = separation_value(framework, game.rho)
@@ -915,8 +912,9 @@ def azuma_diagnostic(batch: BatchResult, game: StageGame, framework: Framework,
         raise ValueError(f"zeta must lie in (0, {rep.value:.6g}], got {zeta}")
     if cfg.true_type != "normal":
         raise ValueError("drift analysis applies to paths generated by the normal type")
-    if not framework.normal_correctly_specified:
-        raise ValueError("drift analysis assumes correctly specified normal hypotheses")
+    if not all(np.array_equal(k, game.rho.matrix) for k in framework.normal_kernels):
+        raise ValueError("drift analysis assumes correctly specified normal hypotheses: "
+                         "every normal kernel must equal rho")
     conj = _conjecture(cfg)
     if not (isinstance(conj, Distribution) and isinstance(cfg.normal_strategy, Distribution)
             and np.allclose(conj.weights, cfg.normal_strategy.weights, rtol=0.0,

@@ -1,7 +1,9 @@
 """One-document JSON experiment configs.
 
 A config either names a registry scenario or spells out the game and framework
-explicitly; explicit blocks win when both are present. Model kernels are
+explicitly; explicit blocks win when both are present. The top level, the
+``scenario``, ``simulation`` and ``bounds`` blocks take only the keys below; any
+other key is a ConfigError that names it. Model kernels are
 nested as [model][type][action][signal] with type order (normal, commitment).
 Everything numeric survives an emit/load cycle exactly: the json module prints
 shortest-round-trip floats.
@@ -11,7 +13,7 @@ shortest-round-trip floats.
       "game":       {"actions_long": [...], "actions_short": [...], "signals": [...],
                      "u": [[...]], "v_tilde": [[...]], "rho": [[...]]},
       "framework":  {"models": [...], "kernels": [...], "prior": [[...], [...]],
-                     "commitment_action": [...], "normal_correctly_specified": true},
+                     "commitment_action": [...]},
       "simulation": {"delta": 0.95, "runs": 100, "master_seed": 1, ...},
       "bounds":     {"grid": 0.001}
     }
@@ -52,6 +54,15 @@ def _require(d: dict, key: str, where: str):
     if key not in d:
         raise ConfigError(f"{where}: missing required field {key!r}")
     return d[key]
+
+
+def _only(d: dict, keys, where: str) -> dict:
+    """``d``, which holds no key outside ``keys``: any other is a misspelling
+    or a setting repgame does not read."""
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where} takes only {', '.join(map(repr, keys))}, got {unknown}")
+    return d
 
 
 def game_to_dict(game: StageGame) -> dict:
@@ -96,17 +107,12 @@ def framework_to_dict(fw: Framework) -> dict:
         "kernels": kernels.tolist(),  # [model][type][action][signal]
         "prior": fw.prior.tolist(),
         "commitment_action": fw.commitment_action.weights.tolist(),
-        "normal_correctly_specified": fw.normal_correctly_specified,
     }
 
 
 def framework_from_dict(d: dict, actions: tuple[str, ...],
                         signals: tuple[str, ...]) -> Framework:
     _block(d, "framework")
-    correct = d.get("normal_correctly_specified", True)
-    if not isinstance(correct, bool):
-        raise ConfigError(
-            f"framework: normal_correctly_specified must be true or false, got {correct!r}")
     try:
         kernels = np.asarray(_require(d, "kernels", "framework"), dtype=float)
         if kernels.ndim != 4 or kernels.shape[1] != 2:
@@ -123,7 +129,6 @@ def framework_from_dict(d: dict, actions: tuple[str, ...],
             commitment_action=Distribution(
                 actions,
                 np.asarray(_require(d, "commitment_action", "framework"), dtype=float)),
-            normal_correctly_specified=correct,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"framework: {exc}") from exc
@@ -159,7 +164,6 @@ def simulation_to_dict(cfg: SimulationConfig) -> dict:
         "true_type": cfg.true_type,
         "normal_strategy": _strategy_to_json(cfg.normal_strategy),
         "horizon": cfg.horizon,
-        "truncation_tol": cfg.truncation_tol,
     }
     if cfg.slp_conjecture is not None:
         out["slp_conjecture"] = _strategy_to_json(cfg.slp_conjecture)
@@ -182,8 +186,12 @@ def _sim_number(d: dict, key: str, default=None, *, integer: bool = False,
     return int(value) if integer else float(value)
 
 
+_SIMULATION_KEYS = ("delta", "master_seed", "runs", "true_type", "normal_strategy",
+                    "slp_conjecture", "horizon", "alpha_star_target")
+
+
 def simulation_from_dict(d: dict, actions: tuple[str, ...]) -> SimulationConfig:
-    _block(d, "simulation")
+    _only(_block(d, "simulation"), _SIMULATION_KEYS, "'simulation'")
     _require(d, "delta", "simulation")
     target = d.get("alpha_star_target")
     if target is not None:
@@ -201,7 +209,6 @@ def simulation_from_dict(d: dict, actions: tuple[str, ...]) -> SimulationConfig:
         slp_conjecture=_strategy_from_json(d.get("slp_conjecture"), actions,
                                            "slp_conjecture"),
         horizon=_sim_number(d, "horizon", integer=True, nullable=True),
-        truncation_tol=_sim_number(d, "truncation_tol", SimulationConfig.truncation_tol),
         alpha_star_target=target,
     )
 
@@ -221,9 +228,7 @@ def load_config(source) -> ExperimentConfig:
     else:
         text = source
         try:
-            if hasattr(source, "read"):
-                text = source.read()
-            elif not str(source).lstrip().startswith("{"):
+            if not str(source).lstrip().startswith("{"):
                 with open(source) as fh:
                     text = fh.read()
             doc = json.loads(text)
@@ -233,13 +238,14 @@ def load_config(source) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
+    _only(doc, ("scenario", "game", "framework", "simulation", "bounds"), "the config document")
 
     if "game" in doc and "framework" in doc:
         game = game_from_dict(doc["game"])
         framework = framework_from_dict(doc["framework"], game.actions_long,
                                         game.signals)
     elif "scenario" in doc:
-        sc = _block(doc["scenario"], "scenario")
+        sc = _only(_block(doc["scenario"], "scenario"), ("name", "params"), "'scenario'")
         name = _require(sc, "name", "scenario")
         params = _block(sc.get("params", {}), "scenario.params")
         try:
@@ -253,10 +259,7 @@ def load_config(source) -> ExperimentConfig:
     sim = None
     if "simulation" in doc:
         sim = simulation_from_dict(doc["simulation"], game.actions_long)
-    bounds = _block(doc.get("bounds", {}), "bounds")
-    unknown = sorted(set(bounds) - {"grid"})
-    if unknown:
-        raise ConfigError(f"'bounds' takes only 'grid', got {unknown}")
+    bounds = _only(_block(doc.get("bounds", {}), "bounds"), ("grid",), "'bounds'")
     return ExperimentConfig(game=game, framework=framework, simulation=sim, bounds=bounds)
 
 

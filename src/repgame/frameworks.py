@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import Distribution, SignalStructure, _as_prob_vector, _check_labels
+from .game import Distribution, _as_prob_vector, _check_labels
 
 __all__ = ["TYPES", "TYPE_NORMAL", "TYPE_COMMIT", "Framework"]
 
@@ -48,9 +48,7 @@ class Framework:
     """Finite model set with per-(type, model) signal kernels and a joint prior.
 
     prior[t, i] is the prior mass on (TYPES[t], models[i]); it must have full
-    support. ``normal_correctly_specified`` asserts that every normal kernel
-    equals the true monitoring structure exactly; this is validated against
-    rho wherever a simulation has the truth in hand.
+    support.
     """
 
     models: tuple[str, ...]
@@ -60,7 +58,6 @@ class Framework:
     commitment_kernels: np.ndarray  # (n_models, n_actions, n_signals)
     prior: np.ndarray               # (2, n_models), rows follow TYPES
     commitment_action: Distribution
-    normal_correctly_specified: bool = False
 
     def __post_init__(self) -> None:
         models = _check_labels(self.models, "Framework.models")
@@ -108,16 +105,3 @@ class Framework:
         if alpha.labels != self.actions:
             raise ValueError("Framework.normal_mix: action labels mismatch")
         return np.einsum("a,may->my", alpha.weights, self.normal_kernels)
-
-    def assert_normal_consistent(self, rho: SignalStructure) -> None:
-        """Check the correctly-specified flag against the true monitoring structure."""
-        if not self.normal_correctly_specified:
-            return
-        if rho.actions != self.actions or rho.signals != self.signals:
-            raise ValueError("Framework: label mismatch against monitoring structure")
-        for i, m in enumerate(self.models):
-            if not np.array_equal(self.normal_kernels[i], rho.matrix):
-                raise ValueError(
-                    f"Framework: normal_correctly_specified is set but f(.|.,normal,{m}) "
-                    "differs from rho"
-                )

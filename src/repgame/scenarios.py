@@ -89,7 +89,6 @@ def product_choice(p: float, q: float, epsilon: float, mu0: float = 0.5
                                       [q, 1.0 - q]]]),
         prior=_prior(mu0, 1),
         commitment_action=Distribution(_ACTIONS_LONG, np.array([1.0, 0.0])),
-        normal_correctly_specified=True,
     )
     return game, framework
 
@@ -129,7 +128,6 @@ def three_signal(p: float, q: float, r: float, epsilon: float, x: float,
         commitment_kernels=np.stack([np.stack([f_hat, f_hat])]),
         prior=_prior(mu0, 1),
         commitment_action=Distribution(_ACTIONS_LONG, np.array([x, 1.0 - x])),
-        normal_correctly_specified=True,
     )
     return game, framework
 
@@ -161,7 +159,6 @@ def counter_example(p: float, q: float, epsilon: float, x: float,
                                       [q, 1.0 - q]]]),
         prior=_prior(mu0, 1),
         commitment_action=Distribution(_ACTIONS_LONG, np.array([x, 1.0 - x])),
-        normal_correctly_specified=True,
     )
     return game, framework
 
@@ -186,7 +183,6 @@ def normal_misspec_scenario() -> tuple[StageGame, Framework]:
         commitment_kernels=np.array([[[0.58, 0.42], [0.58, 0.42]]]),
         prior=_prior(0.5, 1),
         commitment_action=Distribution(_ACTIONS_LONG, np.array([1.0, 0.0])),
-        normal_correctly_specified=False,
     )
     return game, framework
 
@@ -235,7 +231,6 @@ def perturbation_sequence(game: StageGame, base: Framework, n_max: int, *,
             commitment_kernels=commitment_kernels,
             prior=prior,
             commitment_action=base.commitment_action,
-            normal_correctly_specified=False,
         )
         if not normal_favoring_check(fw, game.rho, ("m_good",)):
             raise ValueError(f"member n={n} fails the normal-favoring inequality")

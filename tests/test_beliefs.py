@@ -6,6 +6,7 @@ tv_gap) must reproduce exactly, which pins the vectorized log-space update,
 the forecast mixture, and the reply tie-breaking all at once.
 """
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -58,6 +59,13 @@ def test_bayes_step_hand_value(game06, fw06):
     assert state2.reputation == state.reputation
 
 
+@pytest.mark.parametrize("signal", [-1, 2])
+def test_bayes_step_rejects_a_signal_out_of_range(game06, fw06, signal):
+    state = BeliefState.from_prior(fw06)
+    with pytest.raises(ValueError, match="out of range"):
+        bayes_step(state, fw06, signal, a_dist(game06, [0.0, 1.0]))
+
+
 def test_posterior_is_martingale(game06, fw06):
     for w in ([1.0, 0.0], [0.3, 0.7]):
         conj = a_dist(game06, w)
@@ -102,6 +110,7 @@ def test_single_run_matches_batch_row(game06, fw06):
     assert np.array_equal(rec.signals, batch.signals[2])
     assert np.array_equal(rec.mu, batch.mu[2])
     assert np.array_equal(rec.u_flow, batch.u_flow[2])
+    assert rec.mu_final == batch.mu[2, -1]
 
 
 def test_batch_row_replays_through_scalar_api(game06, fw06):
@@ -165,6 +174,41 @@ def test_simulation_validation(game06, fw06):
         simulate_batch(game06, fw06, small_cfg(game06, true_type="alien"))
 
 
+def _rejected(game):
+    """name -> (config keywords over small_cfg's, message) of configs
+    simulate_batch refuses; each is refused before the panels are allocated."""
+    a_l = a_dist(game, [0.0, 1.0])
+    other = Distribution(("x", "y"), np.array([0.5, 0.5]))
+    return {
+        "no runs": (dict(runs=0), "runs must be >= 1"),
+        "horizon 0": (dict(horizon=0), "horizon must be >= 1"),
+        "derived horizon above 5M": (dict(horizon=None, delta=1.0 - 1e-7),
+                                     "derived horizon .* is impractical"),
+        "runs x horizon above the cap": (dict(runs=1000, horizon=100_000), "above the cap"),
+        "seed below 0": (dict(master_seed=-1), "master_seed must lie in"),
+        "seed at 2**63": (dict(master_seed=2**63), "master_seed must lie in"),
+        "target labels": (dict(alpha_star_target=other), "alpha_star_target labels"),
+        "strategy labels": (dict(normal_strategy=other), "normal_strategy: labels"),
+        "short script": (dict(horizon=5, normal_strategy=[a_l] * 3),
+                         "script has 3 periods but the horizon is 5"),
+        "bad script entry": (dict(horizon=2, normal_strategy=[a_l, "a_l"]),
+                             "period 1 entry is not a Distribution"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_rejected(product_choice(0.6, 0.3, 0.1)[0])))
+def test_simulate_batch_rejects(game06, fw06, name):
+    kw, match = _rejected(game06)[name]
+    with pytest.raises(ValueError, match=match):
+        simulate_batch(game06, fw06, small_cfg(game06, **kw))
+
+
+def test_simulate_batch_rejects_a_framework_over_other_labels(game06):
+    _, fw = three_signal(0.6, 0.3, 0.1, 0.0, 0.6)
+    with pytest.raises(ValueError, match="disagree on action or signal labels"):
+        simulate_batch(game06, fw, small_cfg(game06))
+
+
 def test_commitment_true_type_plays_committed_action(game06, fw06):
     # fw06 commits to pure a_h, so every realized action is index 0
     cfg = small_cfg(game06, true_type="commitment")
@@ -203,6 +247,14 @@ def test_monte_carlo_summary(game06, fw06):
     assert summary.payoff == pytest.approx(float((batch.u_flow @ w).mean()), abs=1e-12)
 
 
+def test_monte_carlo_without_a_decay_fit(game06, fw06):
+    # a horizon of 2 leaves a 3-point mean curve, too short to fit a decay rate
+    summary, _ = monte_carlo(game06, fw06, small_cfg(game06, horizon=2))
+    assert summary.decay is None
+    d = summary.to_dict()
+    assert d["decay_slope"] is None and d["decay_window"] is None
+
+
 def test_decay_rate_fit_exponential():
     fit = decay_rate_fit(0.8 ** np.arange(200))
     assert fit.slope == pytest.approx(math.log(0.8), abs=1e-9)
@@ -231,6 +283,9 @@ def test_decay_rate_fit_underflow_before_window():
 def test_decay_rate_fit_validation():
     with pytest.raises(ValueError):
         decay_rate_fit(np.ones(3))
+    # underflowed from the start: no two positive points to fit
+    with pytest.raises(ValueError, match="fewer than 2"), pytest.warns(RuntimeWarning):
+        decay_rate_fit(np.zeros(10))
 
 
 # -- certificates and tail diagnostics ----------------------------------------
@@ -280,10 +335,28 @@ def test_certificate_ceiling_with_mismatched_conjecture():
     assert ceiling >= float(batch.kl_term.max()) - 1e-12
 
 
+def test_certificate_ceiling_under_a_scripted_conjecture():
+    # a script's endpoints are those of its distinct strategies, each counted once
+    game, fw = counter_example(0.6, 0.3, 0.05, 0.55)
+    x_eps = 0.55 * (1.0 + 0.05 / 0.3)
+    alpha_star = Distribution(game.actions_long, [x_eps, 1.0 - x_eps])
+    a_h = Distribution(game.actions_long, [1.0, 0.0])
+
+    def ceiling(conjecture):
+        cfg = SimulationConfig(delta=0.99, master_seed=7, runs=2, horizon=40,
+                               normal_strategy=alpha_star, slp_conjecture=conjecture,
+                               alpha_star_target=alpha_star)
+        return certificate_kl_ceiling(simulate_batch(game, fw, cfg), fw)
+
+    assert ceiling([alpha_star, a_h] * 20) == max(ceiling(alpha_star), ceiling(a_h))
+
+
 def test_certificate_requires_target_recording(game06, fw06):
     batch = simulate_batch(game06, fw06, small_cfg(game06))
     with pytest.raises(ValueError, match="alpha_star_target"):
         discounted_kl_certificate(batch, fw06, "m0")
+    with pytest.raises(ValueError, match="alpha_star_target"):
+        certificate_kl_ceiling(batch, fw06)
 
 
 def test_certificate_requires_persistent_target_play(game06, fw06):
@@ -353,6 +426,36 @@ def test_azuma_rejects_commitment_paths():
     batch = simulate_batch(game, fw, cfg)
     with pytest.raises(ValueError, match="normal type"):
         azuma_diagnostic(batch, game, fw, zeta=0.04)
+
+
+def _azuma_refusals():
+    """name -> (framework change, config change, checkpoints, message) of the
+    separating, normal-type batches azuma_diagnostic refuses."""
+    game, _ = product_choice(0.6, 0.3, 0.15)
+    # one ulp off rho in one entry: the kernels are compared exactly
+    near = game.rho.matrix.copy()
+    near[0] = [np.nextafter(near[0, 0], 1.0), 1.0 - np.nextafter(near[0, 0], 1.0)]
+    a_h = Distribution(game.actions_long, [1.0, 0.0])
+    return {
+        "normal kernels differ from rho": (dict(normal_kernels=near[None]), {}, None,
+                                           "every normal kernel must equal rho"),
+        "conjecture differs from play": ({}, dict(slp_conjecture=a_h), None,
+                                         "correctly conjectured"),
+        "checkpoints outside the horizon": ({}, {}, [0, 65], "no valid checkpoints"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_azuma_refusals()))
+def test_azuma_refuses(name):
+    fw_kw, cfg_kw, checkpoints, match = _azuma_refusals()[name]
+    game, fw = product_choice(0.6, 0.3, 0.15)
+    fw = dataclasses.replace(fw, **fw_kw)
+    cfg = SimulationConfig(delta=0.95, master_seed=3, runs=5, horizon=64,
+                           normal_strategy=Distribution(game.actions_long, [0.0, 1.0]),
+                           **cfg_kw)
+    batch = simulate_batch(game, fw, cfg)
+    with pytest.raises(ValueError, match=match):
+        azuma_diagnostic(batch, game, fw, zeta=0.04, checkpoints=checkpoints)
 
 
 # -- the blocked simulator against the per-period reference loop --------------

@@ -224,6 +224,22 @@ def test_simulate_three_signal(capsys, tmp_path):
     assert json.loads(out)["runs"] == 3
 
 
+def test_simulate_misspecified_normal_kernels(capsys, tmp_path):
+    # an explicit framework block holds its kernels and nothing that declares
+    # whether they are rho: normal_misspec's wrong normal kernels simulate as given
+    doc = emit_scenario_document("normal_misspec", {})
+    del doc["scenario"]
+    doc["framework"] = {key: doc["framework"][key]
+                        for key in ("models", "kernels", "prior", "commitment_action")}
+    doc["simulation"] = {"delta": 0.9, "runs": 3, "horizon": 30, "master_seed": 5,
+                         "normal_strategy": [1.0, 0.0]}
+    path = tmp_path / "nm.json"
+    dump_document(doc, path)
+    code, out, err = run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 0, err
+    assert json.loads(out)["runs"] == 3
+
+
 def test_simulate_is_reproducible(capsys, sim_config, tmp_path):
     d1, d2 = tmp_path / "r1", tmp_path / "r2"
     code1, out1, _ = run(capsys, "simulate", "--config", sim_config, "--out", str(d1))
@@ -332,8 +348,6 @@ def test_five_tied_replies_answer(capsys, tmp_path):
     ("simulation", "truncation_tol", [1e-4]),
     ("simulation", "alpha_star_target", [0.5]),
     ("simulation", "alpha_star_target", ["a", "b"]),
-    ("framework", "normal_correctly_specified", "false"),
-    ("framework", "normal_correctly_specified", 0),
 ])
 def test_bad_simulation_value_is_a_config_error(capsys, tmp_path, block, key, value):
     doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
@@ -346,6 +360,32 @@ def test_bad_simulation_value_is_a_config_error(capsys, tmp_path, block, key, va
     assert code == 2
     assert key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("block, key", [
+    (None, "simulaton"),
+    (None, "truncation_tol"),
+    ("scenario", "parms"),
+    ("simulation", "horizn"),
+    ("simulation", "alpha_star_targe"),
+    ("bounds", "grd"),
+])
+def test_unknown_key_is_a_config_error(capsys, tmp_path, block, key):
+    # a key repgame does not read is a misspelling or a dropped setting: the
+    # document is refused and the key named, where it would otherwise be ignored
+    doc = {"scenario": {"name": "product_choice",
+                        "params": {"p": 0.6, "q": 0.3, "epsilon": 0.15}},
+           "simulation": {"delta": 0.9, "runs": 4, "horizon": 40, "master_seed": 11,
+                          "normal_strategy": [0.0, 1.0]},
+           "bounds": {"grid": 0.05}}
+    (doc if block is None else doc[block])[key] = 50
+    path = tmp_path / "cfg.json"
+    dump_document(doc, path)
+    code, out, err = run(capsys, "simulate", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert repr(key) in err
 
 
 def _explicit_doc():

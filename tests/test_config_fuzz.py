@@ -26,7 +26,7 @@ EXPLICIT = {k: v for k, v in emit_scenario_document(
     if k != "scenario"}
 SIMULATION = {"delta": 0.9, "runs": 3, "horizon": 8, "master_seed": 11,
               "true_type": "normal", "normal_strategy": [0.0, 1.0],
-              "truncation_tol": 1e-4, "alpha_star_target": [0.5, 0.5]}
+              "alpha_star_target": [0.5, 0.5]}
 BAD_VALUES = [None, float("nan"), float("inf"), float("-inf"), -1, 0, 0.5, 1, 2,
               -0.5, 1e300, -1e300, 10**12, "x", "", True, False, [], {}, [1.0],
               [[0.5, 0.5]], {"a": 1}]

@@ -14,8 +14,8 @@ def test_product_choice_kernels(game06, fw06):
     assert np.allclose(fw06.commitment_kernels[0, 0], [0.7, 0.3])
     assert np.allclose(fw06.commitment_kernels[0, 1], [0.3, 0.7])
     assert fw06.commitment_action.weights.tolist() == [1.0, 0.0]
-    assert fw06.normal_correctly_specified
-    fw06.assert_normal_consistent(game06.rho)
+    # correctly specified: the normal kernel is rho itself, bit for bit
+    assert np.array_equal(fw06.normal_kernels[0], game06.rho.matrix)
 
 
 def test_product_choice_lifted_payoffs(game06, game09):
@@ -83,7 +83,7 @@ def test_counter_example_rejects_unattainable_inflation():
 
 def test_normal_misspec_scenario(nm):
     game, fw = nm
-    assert not fw.normal_correctly_specified
+    assert not np.array_equal(fw.normal_kernels[0], game.rho.matrix)
     assert np.allclose(fw.normal_kernels[0], [[0.45, 0.55], [0.15, 0.85]])
     assert np.allclose(fw.commitment_kernels[0], [[0.58, 0.42], [0.58, 0.42]])
     assert not separation_value(fw, game.rho).separating
@@ -96,7 +96,7 @@ def test_perturbation_sequence_members(game06, fw06):
         assert fw.models == ("m0", "m_good")
         assert np.allclose(fw.normal_kernels[-1], game06.rho.matrix)
         assert normal_favoring_check(fw, game06.rho, ("m_good",))
-        assert not fw.normal_correctly_specified
+        assert not np.array_equal(fw.normal_kernels[0], game06.rho.matrix)
         # the good model holds a tenth of each type's prior mass
         assert fw.prior[0, 1] == pytest.approx(0.1 * 0.5)
     # perturbations shrink back toward the base as n grows
