@@ -56,7 +56,7 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
-def _only(d: dict, keys, where: str) -> dict:
+def _only(d: dict, keys: tuple[str, ...], where: str) -> dict:
     """``d``, which holds no key outside ``keys``: any other is a misspelling
     or a setting repgame does not read."""
     unknown = sorted(set(d) - set(keys))
