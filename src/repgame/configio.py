@@ -1,9 +1,9 @@
 """One-document JSON experiment configs.
 
 A config either names a registry scenario or spells out the game and framework
-explicitly; explicit blocks win when both are present. The top level, the
-``scenario``, ``simulation`` and ``bounds`` blocks take only the keys below; any
-other key is a ConfigError that names it. Model kernels are
+explicitly, as a pair; explicit blocks win when both are present. The top
+level, the ``scenario``, ``simulation`` and ``bounds`` blocks take only the
+keys below; any other key is a ConfigError that names it. Model kernels are
 nested as [model][type][action][signal] with type order (normal, commitment).
 Everything numeric survives an emit/load cycle exactly: the json module prints
 shortest-round-trip floats.
@@ -222,13 +222,15 @@ class ExperimentConfig:
 
 
 def load_config(source) -> ExperimentConfig:
-    """Parse a config from a path, JSON text, or an already-decoded dict."""
+    """Parse a config from a path, JSON text, or an already-decoded dict.
+    Text whose first non-space character opens a JSON object, array or
+    string is JSON; any other text is a path."""
     if isinstance(source, dict):
         doc = source
     else:
         text = source
         try:
-            if not str(source).lstrip().startswith("{"):
+            if not str(source).lstrip().startswith(("{", "[", '"')):
                 with open(source) as fh:
                     text = fh.read()
             doc = json.loads(text)
@@ -240,7 +242,11 @@ def load_config(source) -> ExperimentConfig:
         raise ConfigError("config document must be a JSON object")
     _only(doc, ("scenario", "game", "framework", "simulation", "bounds"), "the config document")
 
-    if "game" in doc and "framework" in doc:
+    if ("game" in doc) != ("framework" in doc):
+        given, missing = ("game", "framework") if "game" in doc else ("framework", "game")
+        raise ConfigError(f"config has a '{given}' block but no '{missing}' block; "
+                          f"explicit blocks come as a pair")
+    if "game" in doc:
         game = game_from_dict(doc["game"])
         framework = framework_from_dict(doc["framework"], game.actions_long,
                                         game.signals)

@@ -250,7 +250,7 @@ def _lp(c: np.ndarray, A_eq: np.ndarray, b_eq: np.ndarray) -> LPResult:
     cols, rows = np.nonzero(A_eq.T)  # CSC order: column by column, rows ascending
     indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=len(c)))])
     A = (A_eq[rows, cols], rows.astype(np.int32), indptr.astype(np.int32))
-    res = linprog(c, A, np.empty(0), b_eq, np.zeros(len(c)), np.full(len(c), np.inf))
+    res = linprog(c, A, b_eq, np.zeros(len(c)), np.full(len(c), np.inf))
     if res.status not in (0, 2, 3):
         raise RuntimeError(f"linear program failed: {res.message}")
     return res

@@ -3,21 +3,22 @@
 ``linprog`` solves
 
     minimize   c @ x
-    subject to A_ub @ x <= b_ub,  A_eq @ x == b_eq,  lb <= x <= ub
+    subject to A @ x == b_eq,  lb <= x <= ub
 
 with the HiGHS dual simplex solver bundled with scipy (Huangfu & Hall,
 "Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018), the
-module scipy's ``linprog(method="highs")`` drives. It passes HiGHS the model
-that call builds: the rows [A_ub; A_eq] as one CSC matrix, row bounds
-(-inf, b_ub] and [b_eq, b_eq], the column bounds as given, and the same five
-options (presolve on, dual simplex, no debug, log or output) on a fresh
-solver per solve, the model in one call to HiGHS's flat ``passModel``, whole
-arrays at a time. Its status codes are scipy's, including the demotion of an
-optimal status to 4 when the solution misses a bound or a row by more than
-``CHECK_TOL``. What it leaves out is the wrapper's per-call cost: input
-cleaning, option re-validation, sparse stacking and the per-column loop over
-bound duals, which no caller reads. So nothing here checks the input: the
-callers (``scores``, ``divergence``) build finite arrays of matching sizes.
+module scipy's ``linprog(method="highs")`` drives. Every program comes in
+equality form (an inequality is a row with a bounded slack column). It
+passes HiGHS the model that call builds from ``A_eq``: CSC rows with bounds
+[b_eq, b_eq], the column bounds as given, and the same five options (presolve
+on, dual simplex, no debug, log or output) on a fresh solver per solve, in
+one call to HiGHS's flat ``passModel``. Its status codes are scipy's,
+including the demotion of an optimal status to 4 when the solution misses a
+bound or a row by more than ``CHECK_TOL``. What it leaves out is the
+wrapper's per-call cost: input cleaning, option re-validation, sparse
+stacking and the per-column loop over bound duals, which no caller reads.
+So nothing here checks the input: the callers (``scores``, ``divergence``)
+build finite arrays of matching sizes.
 
 scipy stays a dependency for its HiGHS binary, but the ``scipy.optimize``
 package, whose import costs more than most answers, is never imported: on
@@ -46,8 +47,8 @@ CHECK_TOL = float(np.sqrt(1e-9) * 10)
 class LPResult:
     """status: 0 optimal, 1 iteration or time limit, 2 infeasible, 3
     unbounded, 4 anything else (scipy's codes). x, fun and row_duals (one per
-    row, in [A_ub; A_eq] order, scipy's marginals) are None unless HiGHS
-    reached an optimum."""
+    row, scipy's equality marginals) are None unless HiGHS reached an
+    optimum."""
 
     status: int
     x: np.ndarray | None
@@ -98,20 +99,19 @@ def _load():
 
 
 def linprog(c: np.ndarray, A: tuple[np.ndarray, np.ndarray, np.ndarray],
-            b_ub: np.ndarray, b_eq: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> LPResult:
+            b_eq: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> LPResult:
     """Solve one LP. ``A`` is (data, indices, indptr) of the CSC matrix whose
-    first len(b_ub) rows are A_ub and whose last len(b_eq) rows are A_eq.
-    ``lb`` and ``ub`` hold -inf and inf where a column is unbounded."""
+    rows equal ``b_eq``. ``lb`` and ``ub`` hold -inf and inf where a column
+    is unbounded."""
     core, opts, to_status = _load()
     data, indices, indptr = A
-    n_col, n_ub = len(c), len(b_ub)
+    n_col = len(c)
     highs = core._Highs()
     if highs.passOptions(opts) == core.HighsStatus.kError:
         model_status = highs.getModelStatus()
     elif highs.passModel(
-            n_col, n_ub + len(b_eq), len(data), core.MatrixFormat.kColwise,
-            core.ObjSense.kMinimize, 0.0, c, lb, ub,
-            np.concatenate([np.full(n_ub, -np.inf), b_eq]), np.concatenate([b_ub, b_eq]),
+            n_col, len(b_eq), len(data), core.MatrixFormat.kColwise,
+            core.ObjSense.kMinimize, 0.0, c, lb, ub, b_eq, b_eq,
             indptr, indices, data,
             np.zeros(n_col, np.int32),  # all continuous; an empty array is a model error
             ) == core.HighsStatus.kError:
@@ -126,19 +126,17 @@ def linprog(c: np.ndarray, A: tuple[np.ndarray, np.ndarray, np.ndarray],
     x = np.array(sol.col_value)
     fun = highs.getInfo().objective_function_value
     duals = np.array(sol.row_dual)
-    if not _passes_check(x, fun, np.array(sol.row_value), b_ub, b_eq, lb, ub):
+    if not _passes_check(x, fun, np.array(sol.row_value), b_eq, lb, ub):
         return LPResult(4, x, fun, duals, f"HiGHS reported an optimum that misses a bound "
                                           f"or row by more than {CHECK_TOL:.2E}")
     return LPResult(0, x, fun, duals, message)
 
 
-def _passes_check(x, fun, row, b_ub, b_eq, lb, ub) -> bool:
+def _passes_check(x, fun, row, b_eq, lb, ub) -> bool:
     """linprog's check of an optimum: nothing NaN, and every bound and row
     met within ``CHECK_TOL``."""
-    n_ub = len(b_ub)
-    slack = b_ub - row[:n_ub]
-    con = b_eq - row[n_ub:]
-    if np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any() or np.isnan(con).any():
+    con = b_eq - row
+    if np.isnan(x).any() or np.isnan(fun) or np.isnan(con).any():
         return False
     return bool(np.all((x >= lb - CHECK_TOL) & (x <= ub + CHECK_TOL))
-                and not (slack < -CHECK_TOL).any() and not (np.abs(con) > CHECK_TOL).any())
+                and not (np.abs(con) > CHECK_TOL).any())

@@ -21,16 +21,15 @@ and below.
 lattice in one array pass over ``simplex_lattice`` (an ``(N, n)`` array,
 capped at ``LATTICE_CAP`` points) and solves their programs, both
 directions, in one ``linprog`` call (``repgame.lp``, HiGHS handed the model
-directly): they share no variable, so they stack as the diagonal blocks of
-one LP whose optimum is every block's optimum. If the joint LP has no
-optimum, the programs are split in halves, each half's LP built again, until
-each failing program stands alone, where infeasibility is an answer and any
-other failure raises. ``kstar`` is the same solve with one block, its reply
-pinned by equal lower and upper bounds. ``stackelberg`` is one array pass
-over the same lattice. Every array pass repeats the per-point arithmetic bit
-for bit: rows are normalized as ``Distribution`` normalizes a vector, and
-products are stacked matrix-vector products, the ones a single point would
-make.
+directly): they share no variable, so they are copies of one block in one
+LP whose optimum is every block's optimum; column bounds alone tell the
+programs apart. If the joint LP has no optimum, each program is solved
+alone, where infeasibility is an answer and any other failure raises.
+``kstar`` is the same solve with one block, its reply pinned by equal lower
+and upper bounds. ``stackelberg`` is one array pass over the same lattice.
+Every array pass repeats the per-point arithmetic bit for bit: rows are
+normalized as ``Distribution`` normalizes a vector, and products are stacked
+matrix-vector products, the ones a single point would make.
 """
 
 from __future__ import annotations
@@ -124,40 +123,33 @@ def _score_lp(game: StageGame, supp: np.ndarray, beta_lb: np.ndarray, beta_ub: n
               direction: np.ndarray) -> tuple:
     """The linprog arguments of score programs stacked as diagonal blocks.
 
-    Program p, in direction[p], has the columns [z, x(y), beta(b)] and one
-    row per long-run action a, [1, -rho(.|a), -u(a, .)] = 0 on supp[p] and
-    its negative <= 0 off it, then the row sum(beta) = 1. Rows are stacked
-    as linprog stacks them: every program's inequalities, then every
-    program's equalities. Every column holds one entry per row of its
-    program, zeros included, as ``block_diag`` of the blocks stores them.
+    Every program is the same block: columns [z, x(y), beta(b), s(a)] and
+    one row z - rho(.|a) x - u(a, .) beta - s_a = 0 per long-run action a,
+    then the row sum(beta) = 1. Only the column bounds and objective say
+    which program a block is: the slack s_a is 0 on supp[p] and >= 0 off
+    it, beta lies within its reply bounds, and direction[p] sets c_z and the
+    offsets' half-space. Every column holds one entry per row of its block,
+    zeros included, as ``block_diag`` of the blocks stores them.
     """
     R = game.rho.matrix
     P, n_a = supp.shape
-    n_y = R.shape[1]
-    C = 1 + n_y + game.u.shape[1]  # columns per program
-    order = np.argsort(supp, axis=1, kind="stable")  # actions off the support first
-    is_eq = np.take_along_axis(supp, order, axis=1)
-    n_ub = n_a - supp.sum(axis=1)
-    ub_start = np.concatenate([[0], np.cumsum(n_ub)])
-    eq_start = ub_start[-1] + np.concatenate([[0], np.cumsum(n_a + 1 - n_ub)])
-    slot = np.arange(n_a + 1)
-    row = np.where(slot < n_ub[:, None], ub_start[:-1, None] + slot,
-                   eq_start[:-1, None] + slot - n_ub[:, None])
-    coef = np.zeros((P, n_a + 1, C))  # (program, row entry, column)
-    sign = np.where(is_eq, 1.0, -1.0)[:, :, None]
-    coef[:, :n_a] = sign * np.hstack([np.ones((n_a, 1)), -R, -game.u])[order]
-    coef[:, n_a, 1 + n_y:] = 1.0
-    indices = np.broadcast_to(row[:, None, :], (P, C, n_a + 1)).astype(np.int32).ravel()
-    indptr = np.arange(0, P * C * (n_a + 1) + 1, n_a + 1, dtype=np.int32)
-    b_eq = np.zeros(eq_start[-1] - ub_start[-1])
-    b_eq[eq_start[1:] - ub_start[-1] - 1] = 1.0  # the sum(beta) rows
+    n_y, n_b = R.shape[1], game.u.shape[1]
+    block = np.zeros((n_a + 1, 1 + n_y + n_b + n_a))
+    block[:n_a] = np.hstack([np.ones((n_a, 1)), -R, -game.u, -np.eye(n_a)])
+    block[n_a, 1 + n_y:1 + n_y + n_b] = 1.0
+    m, C = block.shape
+    rows = np.arange(P * m, dtype=np.int32).reshape(P, 1, m)  # block p's rows
+    indptr = np.arange(0, P * C * m + 1, m, dtype=np.int32)
+    A = (np.tile(block.T.ravel(), P), np.broadcast_to(rows, (P, C, m)).ravel(), indptr)
     c = np.zeros((P, C))
     c[:, 0] = -direction
     below = np.broadcast_to((direction == +1)[:, None], (P, n_y))  # offsets x(y) <= 0
-    lb = np.hstack([np.full((P, 1), -np.inf), np.where(below, -np.inf, 0.0), beta_lb])
-    ub = np.hstack([np.full((P, 1), np.inf), np.where(below, 0.0, np.inf), beta_ub])
-    A = (coef.transpose(0, 2, 1).ravel(), indices, indptr)
-    return c.ravel(), A, np.zeros(ub_start[-1]), b_eq, lb.ravel(), ub.ravel()
+    lb = np.hstack([np.full((P, 1), -np.inf), np.where(below, -np.inf, 0.0), beta_lb,
+                    np.zeros((P, n_a))])
+    ub = np.hstack([np.full((P, 1), np.inf), np.where(below, 0.0, np.inf), beta_ub,
+                    np.where(supp, 0.0, np.inf)])
+    b_eq = np.tile(np.append(np.zeros(n_a), 1.0), P)  # 1 on the sum(beta) rows
+    return c.ravel(), A, b_eq, lb.ravel(), ub.ravel()
 
 
 def _solve_scores(game: StageGame, supp: np.ndarray, beta_lb: np.ndarray, beta_ub: np.ndarray,
@@ -166,9 +158,8 @@ def _solve_scores(game: StageGame, supp: np.ndarray, beta_lb: np.ndarray, beta_u
 
     The programs share no variable, so they are the diagonal blocks of one
     program whose optimum is every block's optimum. When the joint program
-    has no optimum, the programs are split in halves, and each half's LP is
-    built again, until each failing program stands alone: alone,
-    infeasibility is an answer and any other failure raises.
+    has no optimum, each program is solved alone: alone, infeasibility is
+    an answer and any other failure raises.
     """
     res = linprog(*_score_lp(game, supp, beta_lb, beta_ub, direction))
     P = len(supp)
@@ -177,9 +168,8 @@ def _solve_scores(game: StageGame, supp: np.ndarray, beta_lb: np.ndarray, beta_u
         return [ScoreResult(True, float(x[0]), x[1:1 + n_y].copy(), int(d))
                 for x, d in zip(res.x.reshape(P, -1), direction)]
     if P > 1:
-        h = P // 2
-        return (_solve_scores(game, supp[:h], beta_lb[:h], beta_ub[:h], direction[:h])
-                + _solve_scores(game, supp[h:], beta_lb[h:], beta_ub[h:], direction[h:]))
+        return [_solve_scores(game, supp[p:p + 1], beta_lb[p:p + 1], beta_ub[p:p + 1],
+                              direction[p:p + 1])[0] for p in range(P)]
     if res.status == 2:
         return [ScoreResult(False, None, None, int(direction[0]))]
     if res.status == 3:
@@ -227,7 +217,7 @@ def kappa(game: StageGame, grid: float) -> tuple[float, float]:
     the lattice gives every point's (support, best-reply mask) row; the
     distinct rows (packed bitwise into byte strings), in order of first
     appearance, are the programs. One LP solves each of them for +1, then
-    each for -1, so halving splits the directions first.
+    each for -1.
     """
     alpha, replies = _lattice_replies(game, simplex_lattice(len(game.actions_long), grid))
     supp = alpha > SUPPORT_CUTOFF

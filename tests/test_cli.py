@@ -415,6 +415,36 @@ def test_malformed_block_is_a_config_error(capsys, tmp_path, doc, block, command
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", ' "x"', "[]"])
+def test_json_text_that_is_no_object_is_a_config_error(capsys, text):
+    # JSON text is parsed as JSON, not opened as a path
+    code, out, err = run(capsys, "bounds", "--config", text)
+    assert code == 2
+    assert out == ""
+    assert err == "config error: config document must be a JSON object\n"
+
+
+_SCENARIO = {"name": "product_choice", "params": {"p": 0.6, "q": 0.3, "epsilon": 0.15}}
+
+
+@pytest.mark.parametrize("doc, missing", [
+    ({"scenario": _SCENARIO, "game": "not even a dict"}, "framework"),
+    ({"scenario": _SCENARIO, "framework": {"garbage": 1}}, "game"),
+    ({"scenario": _SCENARIO, "game": _explicit_doc()["game"]}, "framework"),
+    ({"framework": _explicit_doc()["framework"]}, "game"),
+])
+def test_lone_explicit_block_is_a_config_error(capsys, tmp_path, doc, missing):
+    # game and framework come as a pair: a lone one is refused, not ignored
+    # next to a scenario, and the missing block is named
+    path = tmp_path / "cfg.json"
+    dump_document(doc, path)
+    code, out, err = run(capsys, "bounds", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert f"no '{missing}' block" in err
+
+
 def test_missing_config_file(capsys):
     code, _, err = run(capsys, "bounds", "--config", "/nonexistent/cfg.json")
     assert code == 2

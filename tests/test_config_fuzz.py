@@ -1,7 +1,8 @@
 """Mutation fuzz of the exit-code contract: any config document gives exit 0
 or 2, never a traceback.
 
-Valid ``scenario``, ``game``/``framework`` and ``simulation`` documents are
+Valid ``scenario``, ``game``/``framework`` and ``simulation`` documents, and
+a ``scenario`` document that also holds a lone ``framework`` block, are
 mutated (keys dropped; values set to wrong types, null, NaN/inf and
 out-of-range numbers) and answered in-process by ``bounds``/``stackelberg``
 at grid 0.1, ``check-separation`` and a tiny ``simulate``. The seed and
@@ -24,6 +25,8 @@ SCENARIO = {"scenario": {"name": "product_choice",
 EXPLICIT = {k: v for k, v in emit_scenario_document(
     "counter_example", {"p": 0.6, "q": 0.3, "epsilon": 0.05, "x": 0.55}).items()
     if k != "scenario"}
+BASES = {"scenario": SCENARIO, "explicit": EXPLICIT,
+         "scenario_lone_block": {**SCENARIO, "framework": EXPLICIT["framework"]}}
 SIMULATION = {"delta": 0.9, "runs": 3, "horizon": 8, "master_seed": 11,
               "true_type": "normal", "normal_strategy": [0.0, 1.0],
               "alpha_star_target": [0.5, 0.5]}
@@ -64,13 +67,13 @@ def _mutate(doc, data):
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
-@pytest.mark.parametrize("base", ["scenario", "explicit"])
+@pytest.mark.parametrize("base", list(BASES))
 @seed(20261018)
 @settings(max_examples=60, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(data=st.data())
 def test_mutated_document_exits_0_or_2(capsys, tmp_path, command, base, data):
-    doc = copy.deepcopy(SCENARIO if base == "scenario" else EXPLICIT)
+    doc = copy.deepcopy(BASES[base])
     if command == "simulate":
         doc["simulation"] = copy.deepcopy(SIMULATION)
     doc = _mutate(doc, data)

@@ -1,11 +1,11 @@
 """The LP entry point against scipy.optimize.linprog(method="highs").
 
 ``repgame.lp.linprog`` hands HiGHS the model that linprog builds. On a
-corpus of the programs repgame solves (every batch and half-batch ``kappa``
-makes on four games, and hull phase-1 programs of member and non-member
+corpus of the programs repgame solves (every joint and solo LP ``kappa``
+makes on five games, and hull phase-1 programs of member and non-member
 slices) the matrix it passes equals the one linprog stacks (for score
-programs, the ``block_diag`` of their blocks), and status, x,
-objective and duals are equal to linprog's, bit for bit. The HiGHS core
+programs, ``block_diag`` of copies of one block), and status, x, objective
+and duals are equal to linprog's, bit for bit. The HiGHS core
 ``repgame.lp`` loads by file path is the module scipy's own import returns,
 and no answer imports ``scipy.optimize``. A scipy upgrade that moves or
 changes the private HiGHS module fails here first.
@@ -24,7 +24,7 @@ import pytest
 from scipy.optimize import linprog as scipy_linprog
 from scipy.optimize._highspy import _core
 from scipy.optimize._linprog_util import _check_result
-from scipy.sparse import block_diag, csc_array, vstack
+from scipy.sparse import block_diag, csc_array
 
 import repgame
 import repgame.divergence
@@ -39,15 +39,14 @@ from repgame.scores import ci_payoff_set
 from test_scores import _always_tied_game, _infeasible_game, _mixed_feasibility_game
 
 
-def _assert_same_solution(res, ref, n_ub):
+def _assert_same_solution(res, ref):
     assert res.status == ref.status
     if ref.x is None:
         assert res.x is None and res.fun is None and res.row_duals is None
         return
     assert np.array_equal(res.x, ref.x)
     assert res.fun == ref.fun
-    assert np.array_equal(res.row_duals[n_ub:], ref.eqlin.marginals)
-    assert np.array_equal(res.row_duals[:n_ub], ref.ineqlin.marginals)
+    assert np.array_equal(res.row_duals, ref.eqlin.marginals)
 
 
 def _assert_same_matrix(A, ref):
@@ -58,7 +57,7 @@ def _assert_same_matrix(A, ref):
 
 
 def _record_score_lps(monkeypatch):
-    """Every score LP, halves included: its game, programs (support masks,
+    """Every score LP, solo ones included: its game, programs (support masks,
     reply bounds and a direction each), the arguments handed to the entry
     point and its result."""
     calls = []
@@ -69,7 +68,7 @@ def _record_score_lps(monkeypatch):
                       "direction": direction})
         return real_scores(game, supp, beta_lb, beta_ub, direction)
 
-    def lp(*args):  # each solve makes its LP before it halves
+    def lp(*args):  # each solve makes its LP before it solves programs alone
         res = real_lp(*args)
         calls[-1].update(args=args, res=res)
         return res
@@ -87,49 +86,43 @@ def _record_score_lps(monkeypatch):
     (_always_tied_game, 0.1),
 ], ids=["product_choice", "three_signal", "infeasible", "mixed_feasibility", "always_tied"])
 def test_score_lps_match_scipy_linprog(monkeypatch, make, grid):
-    # program p's columns are [z, x(y), beta(b)]; its rows [1, -rho(.|a), -u(a, .)]
-    # are equalities on its support and negated inequalities off it, and its
-    # last equality row is sum(beta) = 1; its direction sets its objective and
-    # its offsets' half-space
+    # every program is one block with the columns [z, x(y), beta(b), s(a)]:
+    # one row [1, -rho(.|a), -u(a, .), -e_a] = 0 per action, then the row
+    # sum(beta) = 1; its support pins s to 0 on it and leaves s >= 0 off it,
+    # and its direction sets its objective and its offsets' half-space
     game = make()
     calls = _record_score_lps(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         ci_payoff_set(game, grid)
     R, u = game.rho.matrix, game.u
-    n_y, n_b = R.shape[1], u.shape[1]
+    n_a, n_y, n_b = R.shape[0], R.shape[1], u.shape[1]
+    block = np.vstack([np.hstack([np.ones((n_a, 1)), -R, -u, -np.eye(n_a)]),
+                       np.concatenate([np.zeros(1 + n_y), np.ones(n_b), np.zeros(n_a)])])
     statuses = []
     for call in calls:
         supps = list(call["supp"])
-        beta_row = np.concatenate([np.zeros(1 + n_y), np.ones(n_b)])
-        A_eq = block_diag([np.vstack([np.hstack([np.ones((int(s.sum()), 1)), -R[s], -u[s]]),
-                                      beta_row]) for s in supps], format="csc")
-        b_eq = np.concatenate([np.append(np.zeros(int(s.sum())), 1.0) for s in supps])
-        off = [~s for s in supps]
-        A_ub, b_ub = None, None
-        if any(o.any() for o in off):
-            A_ub = block_diag([np.hstack([-np.ones((int(o.sum()), 1)), R[o], u[o]]) for o in off],
-                              format="csc")
-            b_ub = np.zeros(A_ub.shape[0])
+        A_eq = block_diag([block] * len(supps), format="csc")
+        b_eq = np.tile(np.append(np.zeros(n_a), 1.0), len(supps))
         bounds = np.concatenate([
             np.array([[(-np.inf, np.inf)] + [(-np.inf, 0.0) if d == +1 else (0.0, np.inf)] * n_y
                       for d in call["direction"]]),
-            np.stack([call["beta_lb"], call["beta_ub"]], axis=2)], axis=1).reshape(-1, 2)
-        c = np.zeros((len(supps), 1 + n_y + n_b))
+            np.stack([call["beta_lb"], call["beta_ub"]], axis=2),
+            np.array([[(0.0, 0.0) if on else (0.0, np.inf) for on in s] for s in supps])],
+            axis=1).reshape(-1, 2)
+        c = np.zeros((len(supps), 1 + n_y + n_b + n_a))
         c[:, 0] = [-float(d) for d in call["direction"]]
-        ref = scipy_linprog(c.ravel(), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                            bounds=bounds, method="highs")
+        ref = scipy_linprog(c.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
         args = call["args"]
         assert args[0].tobytes() == c.ravel().tobytes()
-        _assert_same_matrix(args[1], A_eq if A_ub is None else vstack((A_ub, A_eq), format="csc"))
-        assert args[2].tobytes() == (np.empty(0) if b_ub is None else b_ub).tobytes()
-        assert args[3].tobytes() == b_eq.tobytes()
-        assert args[4].tobytes() == bounds[:, 0].tobytes()
-        assert args[5].tobytes() == bounds[:, 1].tobytes()
-        _assert_same_solution(call["res"], ref, len(args[2]))
+        _assert_same_matrix(args[1], A_eq)
+        assert args[2].tobytes() == b_eq.tobytes()
+        assert args[3].tobytes() == bounds[:, 0].tobytes()
+        assert args[4].tobytes() == bounds[:, 1].tobytes()
+        _assert_same_solution(call["res"], ref)
         statuses.append(ref.status)
     if make in (_infeasible_game, _mixed_feasibility_game):
-        # halving reaches solo infeasible programs (2) and feasible halves (0)
+        # the joint LP fails (2); alone, programs are infeasible (2) or solved (0)
         assert {0, 2} <= set(statuses)
     else:
         assert statuses == [0]
@@ -172,9 +165,9 @@ def test_hull_lps_match_scipy_linprog(monkeypatch):
         (args, res), = calls[-1:]
         c, A_eq, b_eq = _phase1(rho.matrix, q.weights)
         ref = scipy_linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
-        assert args[0].tobytes() == c.tobytes() and args[3].tobytes() == b_eq.tobytes()
+        assert args[0].tobytes() == c.tobytes() and args[2].tobytes() == b_eq.tobytes()
         _assert_same_matrix(args[1], csc_array(A_eq))
-        _assert_same_solution(res, ref, 0)
+        _assert_same_solution(res, ref)
     assert len(calls) == 120 and 0 < sum(members) < 120
 
 
@@ -198,17 +191,18 @@ def test_dense_rows_drop_zero_entries_as_linprog_does():
         ref = scipy_linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=(0.0, None), method="highs")
         assert csc_array(A_eq).nnz < np.count_nonzero(A_eq) + 1 < A_eq.size
         _assert_same_matrix(calls[0][1], csc_array(A_eq))
-        _assert_same_solution(res, ref, 0)
+        _assert_same_solution(res, ref)
 
 
 def test_status_codes_match_scipy():
-    # min x0 with x0 <= -1 is infeasible (2); min -x0 is unbounded (3)
+    # x0 >= 0 with x0 = -1 is infeasible (2); min -x0 with no row is unbounded (3)
     A = (np.array([1.0]), np.array([0]), np.array([0, 1]))
     lb, ub = np.zeros(1), np.full(1, np.inf)
-    res = linprog(np.array([1.0]), A, np.array([-1.0]), np.empty(0), lb, ub)
-    ref = scipy_linprog([1.0], A_ub=[[1.0]], b_ub=[-1.0], bounds=(0.0, None), method="highs")
+    res = linprog(np.array([1.0]), A, np.array([-1.0]), lb, ub)
+    ref = scipy_linprog([1.0], A_eq=[[1.0]], b_eq=[-1.0], bounds=(0.0, None), method="highs")
     assert res.status == ref.status == 2
-    res = linprog(np.array([-1.0]), A, np.empty(0), np.empty(0), lb, ub)
+    no_rows = (np.empty(0), np.empty(0, np.int32), np.zeros(2, np.int32))
+    res = linprog(np.array([-1.0]), no_rows, np.empty(0), lb, ub)
     ref = scipy_linprog([-1.0], bounds=(0.0, None), method="highs")
     assert res.status == ref.status == 3
 
@@ -220,24 +214,24 @@ def test_optimum_check_is_linprogs():
     rng = np.random.default_rng(3)
     kept = 0
     for _ in range(2000):
-        n_x, n_ub, n_eq = 3, int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        n_x, n_eq = 3, int(rng.integers(0, 3))
         lb = rng.choice([-np.inf, 0.0, -1.0], size=n_x)
         ub = rng.choice([np.inf, 0.0, 1.0], size=n_x)
         ub = np.maximum(lb, ub)
         x = np.clip(rng.uniform(-2, 2, size=n_x), lb, ub)
-        b_ub, b_eq = rng.uniform(-1, 1, size=n_ub), rng.uniform(-1, 1, size=n_eq)
-        row = np.concatenate([b_ub, b_eq])
+        b_eq = rng.uniform(-1, 1, size=n_eq)
+        row = b_eq.copy()
         # push a few entries over the line, by about the tolerance
-        miss = rng.choice([0.0, 0.5, 2.0], size=n_x + n_ub + n_eq, p=[0.8, 0.1, 0.1])
+        miss = rng.choice([0.0, 0.5, 2.0], size=n_x + n_eq, p=[0.8, 0.1, 0.1])
         sign = rng.choice([-1.0, 1.0], size=len(miss))
         x = x + (sign * miss * CHECK_TOL)[:n_x]
         row = row + (sign * miss * CHECK_TOL)[n_x:]
         if rng.random() < 0.02:
             x[0] = np.nan
         fun = float(np.sum(x))
-        status, _ = _check_result(x, fun, 0, b_ub - row[:n_ub], b_eq - row[n_ub:],
+        status, _ = _check_result(x, fun, 0, np.empty(0), b_eq - row,
                                   np.column_stack([lb, ub]), 1e-9, "", None)
-        ok = _passes_check(x, fun, row, b_ub, b_eq, lb, ub)
+        ok = _passes_check(x, fun, row, b_eq, lb, ub)
         assert ok == (status == 0)
         kept += ok
     assert 0 < kept < 2000

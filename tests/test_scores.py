@@ -167,7 +167,7 @@ def test_ci_payoff_set(game09, game06):
 
 
 def _record_batches(monkeypatch):
-    """Record every (programs, results) batch kappa solves, not its halves; a
+    """Record every (programs, results) batch kappa solves, not its solo LPs; a
     program is (support mask, reply lower bounds, reply upper bounds, direction)."""
     batches = []
     depth = []
@@ -214,8 +214,25 @@ def test_ci_payoff_set_solves_each_score_program_once(monkeypatch):
 
 
 def _dense_score(game, supp, beta_lb, beta_ub, direction):
-    """The score program with reply variables, as one dense linprog call
-    (test-only reference); beta_lb == beta_ub pins the reply."""
+    """The score program with reply variables in equality form, as one dense
+    linprog call (test-only reference); beta_lb == beta_ub pins the reply.
+    Columns [z, x(y), beta(b), s(a)]; the slack s_a is 0 on the support."""
+    R, u = game.rho.matrix, game.u
+    n_a, n_y, n_b = R.shape[0], R.shape[1], u.shape[1]
+    A_eq = np.vstack([np.hstack([np.ones((n_a, 1)), -R, -u, -np.eye(n_a)]),
+                      np.concatenate([np.zeros(1 + n_y), np.ones(n_b), np.zeros(n_a)])])
+    b_eq = np.append(np.zeros(n_a), 1.0)
+    x_bound = (None, 0.0) if direction == +1 else (0.0, None)
+    c = np.zeros(1 + n_y + n_b + n_a)
+    c[0] = -float(direction)
+    bounds = ([(None, None)] + [x_bound] * n_y + list(zip(beta_lb, beta_ub))
+              + [(0.0, 0.0) if on else (0.0, None) for on in supp])
+    return linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs")
+
+
+def _dense_score_inequalities(game, supp, beta_lb, beta_ub, direction):
+    """The same program with inequality rows off the support and no slack
+    columns (test-only reference)."""
     R, u = game.rho.matrix, game.u
     n_y, n_b = R.shape[1], u.shape[1]
     off = ~supp
@@ -267,20 +284,22 @@ def test_score_batch_matches_solo_solves(monkeypatch, make, grid, infeasible):
         for (supp, beta_lb, beta_ub, direction), res in zip(programs, results):
             assert res.direction == direction
             ref = _dense_score(game, supp, beta_lb, beta_ub, direction)
-            assert ref.status in (0, 2)
+            old = _dense_score_inequalities(game, supp, beta_lb, beta_ub, direction)
+            assert ref.status in (0, 2) and old.status == ref.status
             assert res.feasible == (ref.status == 0)
             if res.feasible:
                 assert res.z == ref.x[0]
+                assert abs(old.x[0] - ref.x[0]) <= 1e-12
                 assert np.allclose(res.offsets, ref.x[1:1 + game.rho.matrix.shape[1]],
                                    rtol=0.0, atol=1e-9)
             n_infeasible += not res.feasible
+    n_programs = sum(len(programs) for programs, _ in batches)
     if infeasible == "none":
         assert n_infeasible == 0 and len(lp_calls) == 1
     else:
-        # infeasible programs stand alone after halving; feasible ones are solved too
-        n_programs = sum(len(programs) for programs, _ in batches)
+        # the joint LP has no optimum, so each program is solved alone once
         assert 0 < n_infeasible < n_programs
-        assert len(lp_calls) > 2
+        assert len(lp_calls) == 1 + n_programs
 
 
 def _empty_bracket_game():
@@ -438,7 +457,7 @@ def test_kappa_programs_reach_the_lp_in_order_of_first_appearance(monkeypatch):
     monkeypatch.setattr(repgame.scores, "linprog", recording)
     kappa(game, grid)
 
-    def flat(args):  # (c, (data, indices, indptr), b_ub, b_eq, lb, ub) as bytes
+    def flat(args):  # (c, (data, indices, indptr), b_eq, lb, ub) as bytes
         return [x.tobytes() for x in (args[0], *args[1], *args[2:])]
 
     assert flat(calls[0]) == flat(expected)
