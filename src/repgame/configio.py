@@ -1,7 +1,8 @@
 """One-document JSON experiment configs.
 
 A config either names a registry scenario or spells out the game and framework
-explicitly, as a pair; explicit blocks win when both are present. The top
+explicitly, as a pair. A document with both, as ``scenario emit`` writes it,
+must hold in its explicit blocks exactly what its scenario builds. The top
 level, the ``scenario``, ``simulation`` and ``bounds`` blocks take only the
 keys below; any other key is a ConfigError that names it. Model kernels are
 nested as [model][type][action][signal] with type order (normal, commitment).
@@ -221,6 +222,34 @@ class ExperimentConfig:
     bounds: dict
 
 
+def _scenario(doc: dict) -> tuple[StageGame, Framework]:
+    """The game and framework the document's ``scenario`` block names."""
+    sc = _only(_block(doc["scenario"], "scenario"), ("name", "params"), "'scenario'")
+    name = _require(sc, "name", "scenario")
+    params = _block(sc.get("params", {}), "scenario.params")
+    try:
+        return build_scenario(name, params)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"scenario: {exc}") from exc
+
+
+def _check_scenario_blocks(doc: dict, game: StageGame, framework: Framework) -> None:
+    """A document with a ``scenario`` block beside its explicit ones must
+    spell out exactly what that scenario builds. The built pair is loaded
+    from its own blocks first, so both sides pass the same validation."""
+    built_game, built_fw = _scenario(doc)
+    built_game = game_from_dict(game_to_dict(built_game))
+    built_fw = framework_from_dict(framework_to_dict(built_fw), built_game.actions_long,
+                                   built_game.signals)
+    for block, got, want in (("game", game_to_dict(game), game_to_dict(built_game)),
+                             ("framework", framework_to_dict(framework),
+                              framework_to_dict(built_fw))):
+        for key in want:
+            if got[key] != want[key]:
+                raise ConfigError(f"the '{block}' block differs at {key!r} from what its "
+                                  f"'scenario' block {doc['scenario']} builds")
+
+
 def load_config(source) -> ExperimentConfig:
     """Parse a config from a path, JSON text, or an already-decoded dict.
     Text whose first non-space character opens a JSON object, array or
@@ -250,14 +279,10 @@ def load_config(source) -> ExperimentConfig:
         game = game_from_dict(doc["game"])
         framework = framework_from_dict(doc["framework"], game.actions_long,
                                         game.signals)
+        if "scenario" in doc:
+            _check_scenario_blocks(doc, game, framework)
     elif "scenario" in doc:
-        sc = _only(_block(doc["scenario"], "scenario"), ("name", "params"), "'scenario'")
-        name = _require(sc, "name", "scenario")
-        params = _block(sc.get("params", {}), "scenario.params")
-        try:
-            game, framework = build_scenario(name, params)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"scenario: {exc}") from exc
+        game, framework = _scenario(doc)
     else:
         raise ConfigError(
             "config needs either a 'scenario' block or both 'game' and 'framework'")

@@ -145,14 +145,16 @@ def minimize_convex_over_simplex(
             _, g = value_and_grad(x + gamma * d)
             return float(g @ d)
 
-        if dphi(gamma_max) <= 0.0:
+        dphi_0, dphi_max = float(grad @ d), dphi(gamma_max)
+        if dphi_max <= 0.0:
             gamma = gamma_max
-        elif grad @ d >= 0.0:
+        elif dphi_0 >= 0.0:
             # phi'(0) = grad . d lost its sign to rounding (gaps near eps):
             # no descent is measurable along d, and brentq needs a bracket.
             gamma = 0.0
         else:
-            gamma = _brentq(dphi, 0.0, gamma_max, _LS_XTOL, _LS_RTOL, _LS_MAXITER)
+            gamma = _brentq(dphi, 0.0, gamma_max, dphi_0, dphi_max,
+                            _LS_XTOL, _LS_RTOL, _LS_MAXITER)
         x = x + gamma * d
         np.clip(x, 0.0, None, out=x)
         x /= x.sum()
@@ -165,26 +167,26 @@ def minimize_convex_over_simplex(
     return SimplexMinResult(x, val, gap, it, False)
 
 
-def _brentq(f: Callable[[float], float], xa: float, xb: float,
+def _brentq(f: Callable[[float], float], xa: float, xb: float, fa: float, fb: float,
             xtol: float, rtol: float, maxiter: int) -> float:
     """``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol, maxiter=maxiter,
     disp=False)`` of scipy 1.17, bit for bit: its C routine (Brent,
     *Algorithms for Minimization without Derivatives*, 1973, ch. 4) ported
-    line for line, with the same evaluations in the same order.
+    line for line, with the same evaluations in the same order, except that
+    the caller hands in ``fa = f(xa)`` and ``fb = f(xb)``, which it holds.
 
     Like scipy, it raises ValueError when f is NaN or has the same sign at
     both ends, and returns its current estimate when ``maxiter`` runs out.
     """
-    def call(x: float) -> float:
-        fx = f(x)
+    def checked(x: float, fx: float) -> float:
         if math.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre = call(xpre)
-    fcur = call(xcur)
+    fpre = checked(xpre, float(fa))
+    fcur = checked(xcur, float(fb))
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -220,7 +222,7 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float,
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
+        fcur = checked(xcur, f(xcur))
     return xcur
 
 

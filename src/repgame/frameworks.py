@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import Distribution, _as_prob_vector, _check_labels
+from .game import Distribution, _as_prob_rows, _as_prob_vector, _check_labels
 
 __all__ = ["TYPES", "TYPE_NORMAL", "TYPE_COMMIT", "Framework"]
 
@@ -33,10 +33,10 @@ def _as_kernel(arr, models, actions, signals, what: str) -> np.ndarray:
     expected = (len(models), len(actions), len(signals))
     if k.shape != expected:
         raise ValueError(f"{what}: kernel shape {k.shape}, expected {expected}")
-    out = np.empty_like(k)
-    for i, m in enumerate(models):
-        for j, a in enumerate(actions):
-            out[i, j] = _as_prob_vector(k[i, j], len(signals), f"{what} f(.|{a},{m})")
+    n_a = len(actions)
+    rows = _as_prob_rows(k.reshape(-1, len(signals)),
+                         lambda r: f"{what} f(.|{actions[r % n_a]},{models[r // n_a]})")
+    out = rows.reshape(expected)
     if np.any(out <= 0.0):
         raise ValueError(f"{what}: kernels must be strictly positive (full support)")
     out.flags.writeable = False

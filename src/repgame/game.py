@@ -15,7 +15,7 @@ recomputed from ``v_tilde`` and ``rho`` rather than stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,12 +40,31 @@ def _as_prob_vector(weights, n: int, what: str) -> np.ndarray:
         raise ValueError(f"{what}: non-finite weight")
     if np.any(w < _NEG_DUST):
         i = int(np.argmin(w))
-        raise ValueError(f"{what}: negative weight {w[i]!r} at index {i}")
+        raise ValueError(f"{what}: negative weight {float(w[i])!r} at index {i}")
     np.clip(w, 0.0, None, out=w)
     s = float(w.sum())
     if abs(s - 1.0) > _SUM_TOL:
         raise ValueError(f"{what}: weights sum to {s!r}, not 1 (tolerance {_SUM_TOL})")
     w /= s
+    w.flags.writeable = False
+    return w
+
+
+def _as_prob_rows(rows, label: Callable[[int], str]) -> np.ndarray:
+    """``_as_prob_vector`` on every row of a 2-D array in one pass: the same
+    checks, clip, per-row sum and division, so the same bits. A failing row
+    raises ``_as_prob_vector``'s message for the first one, under
+    ``label(i)``."""
+    w = np.array(rows, dtype=float, order="C")
+    bad = ~np.isfinite(w).all(axis=1) | (w < _NEG_DUST).any(axis=1)
+    np.clip(w, 0.0, None, out=w)
+    with np.errstate(invalid="ignore", over="ignore"):  # such rows are bad already
+        s = w.sum(axis=1)
+    bad |= np.abs(s - 1.0) > _SUM_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        _as_prob_vector(rows[i], w.shape[1], label(i))
+    w /= s[:, None]
     w.flags.writeable = False
     return w
 
@@ -124,8 +143,7 @@ class SignalStructure:
                 f"SignalStructure: matrix shape {m.shape} does not match "
                 f"{len(actions)} actions x {len(signals)} signals"
             )
-        rows = [_as_prob_vector(m[i], len(signals), f"rho(.|{actions[i]})") for i in range(len(actions))]
-        m = np.vstack(rows)
+        m = _as_prob_rows(m, lambda i: f"rho(.|{actions[i]})")
         if np.any(m <= 0.0):
             i, j = np.unravel_index(int(np.argmin(m)), m.shape)
             raise ValueError(

@@ -11,8 +11,11 @@ module scipy's ``linprog(method="highs")`` drives. Every program comes in
 equality form (an inequality is a row with a bounded slack column). It
 passes HiGHS the model that call builds from ``A_eq``: CSC rows with bounds
 [b_eq, b_eq], the column bounds as given, and the same five options (presolve
-on, dual simplex, no debug, log or output) on a fresh solver per solve, in
-one call to HiGHS's flat ``passModel``. Its status codes are scipy's,
+on, dual simplex, no debug, log or output), in one call to HiGHS's flat
+``passModel``. One solver serves every solve in the process: it is built,
+and handed the options, on the first solve, and ``passModel`` clears the
+previous model, basis and solution before it loads the next, so each solve
+starts cold and gets what a fresh solver would. Its status codes are scipy's,
 including the demotion of an optimal status to 4 when the solution misses a
 bound or a row by more than ``CHECK_TOL``. What it leaves out is the
 wrapper's per-call cost: input cleaning, option re-validation, sparse
@@ -75,8 +78,9 @@ def _scipy_version() -> str:
 
 @functools.cache
 def _load():
-    """The HiGHS core, the options every solve passes, and scipy's status
-    code by HiGHS model status; built on the first solve."""
+    """The HiGHS core, the one solver every solve reuses, whether it took
+    the options, and scipy's status code by HiGHS model status; built on the
+    first solve."""
     path = (_scipy_dir() / "optimize" / "_highspy"
             / ("_core" + importlib.machinery.EXTENSION_SUFFIXES[0]))
     if not path.is_file():
@@ -92,22 +96,24 @@ def _load():
     opts.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
     opts.log_to_console = False
     opts.output_flag = False
+    highs = _core._Highs()
+    options_passed = highs.passOptions(opts) != _core.HighsStatus.kError
     ms = _core.HighsModelStatus
     status = {ms.kOptimal: 0, ms.kTimeLimit: 1, ms.kIterationLimit: 1,
               ms.kInfeasible: 2, ms.kModelError: 2, ms.kUnbounded: 3}
-    return _core, opts, status
+    return _core, highs, options_passed, status
 
 
 def linprog(c: np.ndarray, A: tuple[np.ndarray, np.ndarray, np.ndarray],
             b_eq: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> LPResult:
     """Solve one LP. ``A`` is (data, indices, indptr) of the CSC matrix whose
     rows equal ``b_eq``. ``lb`` and ``ub`` hold -inf and inf where a column
-    is unbounded."""
-    core, opts, to_status = _load()
+    is unbounded. The solver is the process's one, so a solve must not
+    start while another runs."""
+    core, highs, options_passed, to_status = _load()
     data, indices, indptr = A
     n_col = len(c)
-    highs = core._Highs()
-    if highs.passOptions(opts) == core.HighsStatus.kError:
+    if not options_passed:  # no model was ever passed: status "Not Set", 4
         model_status = highs.getModelStatus()
     elif highs.passModel(
             n_col, len(b_eq), len(data), core.MatrixFormat.kColwise,

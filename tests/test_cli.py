@@ -302,7 +302,7 @@ def test_bad_grid_is_a_config_error(capsys, tmp_path, command, grid, bounds):
 def test_lattice_above_cap_is_a_config_error(capsys, monkeypatch, tmp_path, command):
     # three long-run actions at 1e-4 make 50,015,001 lattice points; the
     # answer stops before any lattice is built
-    doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
+    doc = _explicit_doc()   # a game of its own: no scenario builds it
     game, fw = doc["game"], doc["framework"]
     game["actions_long"].append("a_m")
     game["u"].append([2.5, 0.5])
@@ -321,7 +321,7 @@ def test_lattice_above_cap_is_a_config_error(capsys, monkeypatch, tmp_path, comm
 def test_five_tied_replies_answer(capsys, tmp_path):
     # five short-run replies with equal signal payoffs are tied at every alpha;
     # each score program takes the reply as variables over all five
-    doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
+    doc = _explicit_doc()   # a game of its own: no scenario builds it
     game = doc["game"]
     game["actions_short"] = [f"b{i}" for i in range(5)]
     game["u"] = [[2.0, 0.0, 1.0, 0.5, 1.5], [3.0, 1.0, 2.0, 1.5, 2.5]]
@@ -443,6 +443,60 @@ def test_lone_explicit_block_is_a_config_error(capsys, tmp_path, doc, missing):
     assert out == ""
     assert err.startswith("config error: ")
     assert f"no '{missing}' block" in err
+
+
+@pytest.mark.parametrize("name, params", [
+    ("product_choice", ["p=0.6", "q=0.3", "epsilon=0.15"]),
+    ("product_choice", ["p=0.7", "q=0.2", "epsilon=0", "mu0=0.3"]),
+    ("three_signal", ["p=0.6", "q=0.3", "r=0.1", "epsilon=0.02", "x=0.55"]),
+    ("counter_example", ["p=0.6", "q=0.3", "epsilon=0.05", "x=0.55"]),
+    ("normal_misspec", []),
+])
+def test_emitted_scenario_documents_load(capsys, tmp_path, name, params):
+    # scenario emit writes all three blocks; its explicit ones are what its
+    # scenario builds, so the document loads as written
+    code, _, _ = run(capsys, "scenario", "emit", name, *params, "--out", str(tmp_path))
+    assert code == 0
+    code, out, err = run(capsys, "check-separation", "--config", str(tmp_path / f"{name}.json"))
+    assert code == 0, err
+    assert json.loads(out)
+
+
+@pytest.mark.parametrize("block, value, message", [
+    ("scenario", {"name": "no_such_scenario", "parms": 1},
+     "'scenario' takes only 'name', 'params', got ['parms']"),
+    ("scenario", {"name": "no_such_scenario"}, "scenario: \"unknown scenario 'no_such_scenario'"),
+    ("scenario", {"params": _SCENARIO["params"]}, "scenario: missing required field 'name'"),
+    ("scenario", {"name": "product_choice", "params": {"p": 0.6, "q": 0.3}},
+     "scenario: scenario 'product_choice' needs parameter 'epsilon'"),
+    ("scenario", {"name": "product_choice", "params": {"p": 0.7, "q": 0.3, "epsilon": 0.15}},
+     "the 'game' block differs at 'v_tilde'"),
+    ("scenario", {"name": "product_choice", "params": {"p": 0.6, "q": 0.3, "epsilon": 0.1}},
+     "the 'framework' block differs at 'kernels'"),
+    ("scenario", {"name": "product_choice",
+                  "params": {"p": 0.6, "q": 0.3, "epsilon": 0.15, "mu0": 0.25}},
+     "the 'framework' block differs at 'prior'"),
+    ("scenario", {"name": "three_signal", "params": {"p": 0.6, "q": 0.3, "r": 0.1,
+                                                     "epsilon": 0.15, "x": 0.55}},
+     "the 'game' block differs at 'signals'"),
+    ("scenario", {"name": "counter_example", "params": {"p": 0.6, "q": 0.3, "epsilon": 0.15,
+                                                        "x": 0.55}},
+     "the 'framework' block differs at 'commitment_action'"),
+    ("game", {"u": [[2.0, 0.0], [3.0, 1.5]]}, "the 'game' block differs at 'u'"),
+])
+def test_scenario_block_beside_explicit_blocks_must_match_them(capsys, tmp_path, block,
+                                                               value, message):
+    # a document with all three blocks is checked against its scenario, not
+    # loaded as whatever the explicit blocks say
+    doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
+    doc[block] = value if block == "scenario" else {**doc[block], **value}
+    path = tmp_path / "cfg.json"
+    dump_document(doc, path)
+    for command in ("bounds", "check-separation"):
+        code, out, err = run(capsys, command, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: {message}"), err
 
 
 def test_missing_config_file(capsys):

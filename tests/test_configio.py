@@ -119,13 +119,17 @@ def test_load_config_scenario_block():
     assert np.allclose(cfg.framework.commitment_kernels[0, 0], [0.7, 0.3])
 
 
-def test_load_config_explicit_beats_scenario(game06, fw06):
+def test_load_config_scenario_must_match_explicit_blocks(game06, fw06):
+    # beside explicit blocks, the scenario block is checked, not ignored:
+    # the blocks of product_choice(0.6, 0.3, 0.1) load under its own label
+    # and are refused under another
     doc = explicit_doc(game06, fw06)
-    doc["scenario"] = {"name": "product_choice",
-                       "params": {"p": 0.9, "q": 0.4, "epsilon": 0.05}}
+    doc["scenario"] = {"name": "product_choice", "params": {"p": 0.6, "q": 0.3, "epsilon": 0.1}}
     cfg = load_config(doc)
-    # explicit blocks win, so the monitoring rows stay at 0.6/0.3
-    assert cfg.game.rho.matrix[0, 0] == pytest.approx(0.6)
+    assert cfg.game.rho.matrix.tobytes() == game06.rho.matrix.tobytes()
+    doc["scenario"]["params"]["p"] = 0.8
+    with pytest.raises(ConfigError, match="the 'game' block differs at 'v_tilde'"):
+        load_config(doc)
 
 
 def test_load_config_error_paths(tmp_path):

@@ -355,11 +355,19 @@ def test_root_find_costs_under_twenty_objective_calls_per_iteration(monkeypatch)
 
 # -- the brentq port against scipy.optimize.brentq ------------------------------
 
+def _port(g, a, b, xtol, rtol, maxiter):
+    """The port handed the end values, evaluated in scipy's order: f(b) only
+    once f(a) is a number."""
+    fa = g(a)
+    fb = math.nan if math.isnan(fa) else g(b)
+    return _brentq(g, a, b, fa, fb, xtol, rtol, maxiter)
+
+
 def _both_brentqs(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100):
     """(outcome, f calls) of the port and of scipy's brentq with disp=False:
     the root's hex, or the ValueError's message."""
     out = []
-    for solve in (lambda g: _brentq(g, a, b, xtol, rtol, maxiter),
+    for solve in (lambda g: _port(g, a, b, xtol, rtol, maxiter),
                   lambda g: brentq(g, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter, disp=False)):
         calls = []
 
@@ -377,10 +385,12 @@ def _both_brentqs(f, a, b, xtol=2e-12, rtol=4 * np.finfo(float).eps, maxiter=100
 @pytest.mark.filterwarnings("ignore:simplex minimization stopped")
 def test_brentq_port_matches_scipy_on_recorded_line_searches(monkeypatch):
     # each line search of a seeded set of projections, replayed at once
-    # through both (the step function closes over the current iterate)
+    # through both (the step function closes over the current iterate); the
+    # end values the line search hands in are the ones scipy computes
     seen = []
 
-    def record(f, a, b, xtol, rtol, maxiter):
+    def record(f, a, b, fa, fb, xtol, rtol, maxiter):
+        assert (float(fa).hex(), float(fb).hex()) == (float(f(a)).hex(), float(f(b)).hex())
         (got, got_calls), (ref, ref_calls) = _both_brentqs(f, a, b, xtol, rtol, maxiter)
         seen.append((a, b))
         assert got == ref and got_calls == ref_calls

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from repgame.game import (Distribution, SignalStructure, StageGame,
+from repgame.frameworks import Framework
+from repgame.game import (Distribution, SignalStructure, StageGame, _as_prob_vector,
                           mix_signal_dist)
 
 
@@ -87,3 +88,50 @@ def test_mix_signal_dist(game09):
 def test_mix_signal_dist_label_check(game09):
     with pytest.raises(ValueError):
         mix_signal_dist(game09.rho, Distribution(("b_h", "b_l"), [0.5, 0.5]))
+
+
+# -- one validation pass per matrix: rho and the kernels -----------------------
+
+def _rows_target(target, m):
+    """Validate the rows ``m`` (two models x two actions x three signals) as
+    ``target``: rho takes model m1's rows, a kernel all four."""
+    signals, actions = ("y0", "y1", "y2"), ("a0", "a1")
+    if target == "rho":
+        return SignalStructure(actions, signals, m[1]).matrix
+    ok = np.full((2, 2, 3), 1 / 3)
+    nk, ck = (m, ok) if target == "normal kernels" else (ok, m)
+    fw = Framework(("m0", "m1"), actions, signals, nk, ck, np.full((2, 2), 0.25),
+                   Distribution.uniform(actions))
+    return fw.normal_kernels if target == "normal kernels" else fw.commitment_kernels
+
+
+def _label(target, model, action):
+    return f"rho(.|{action})" if target == "rho" else f"{target} f(.|{action},{model})"
+
+
+@pytest.mark.parametrize("target", ["rho", "normal kernels", "commitment kernels"])
+def test_rows_are_normalized_as_one_vector_each(target):
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        m = rng.dirichlet(np.ones(3), size=(2, 2)) + rng.uniform(-2e-10, 2e-10, size=(2, 2, 3))
+        got = _rows_target(target, m)
+        rows = m[1] if target == "rho" else m
+        ref = np.array([_as_prob_vector(r, 3, "ref") for r in rows.reshape(-1, 3)])
+        assert got.tobytes() == ref.reshape(rows.shape).tobytes()
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("target", ["rho", "normal kernels", "commitment kernels"])
+@pytest.mark.parametrize("bad, message", [
+    ([np.nan, 0.5, 0.5], "non-finite weight"),
+    ([-0.1, 0.6, 0.5], "negative weight -0.1 at index 0"),
+    ([0.5, 0.5, 0.25], "weights sum to 1.25, not 1 (tolerance 1e-09)"),
+], ids=["non-finite", "negative", "off-sum"])
+def test_first_failing_row_raises_its_own_message(target, bad, message):
+    # the row of (m1, a0) fails, and so does the later row of (m1, a1)
+    m = np.full((2, 2, 3), 1 / 3)
+    m[1, 0] = bad
+    m[1, 1] = [np.inf, 0.0, 0.0]
+    with pytest.raises(ValueError) as err:
+        _rows_target(target, m)
+    assert str(err.value) == f"{_label(target, 'm1', 'a0')}: {message}"

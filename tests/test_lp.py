@@ -5,7 +5,9 @@ corpus of the programs repgame solves (every joint and solo LP ``kappa``
 makes on five games, and hull phase-1 programs of member and non-member
 slices) the matrix it passes equals the one linprog stacks (for score
 programs, ``block_diag`` of copies of one block), and status, x, objective
-and duals are equal to linprog's, bit for bit. The HiGHS core
+and duals are equal to linprog's, bit for bit. One solver serves every
+solve, and no solve sees what an earlier one left: each answer equals a new
+solver's, in any order. The HiGHS core
 ``repgame.lp`` loads by file path is the module scipy's own import returns,
 and no answer imports ``scipy.optimize``. A scipy upgrade that moves or
 changes the private HiGHS module fails here first.
@@ -285,3 +287,83 @@ def test_missing_highs_core_names_scipy_version_and_path(monkeypatch, tmp_path):
     message = str(err.value)
     assert f"scipy {version('scipy')}" in message
     assert str(tmp_path / "optimize" / "_highspy") in message
+
+
+def _bits(res):
+    """status, message, and the bytes of x, the objective and the row duals."""
+    return (res.status, res.message) + tuple(
+        None if v is None else np.asarray(v).tobytes() for v in (res.x, res.fun, res.row_duals))
+
+
+def _fresh_solve(monkeypatch, args):
+    """``linprog`` on a new ``_Highs`` handed scipy's five options anew: what
+    every solve got before the solver was shared."""
+    core, _, options_passed, to_status = repgame.lp._load()
+    opts = core.HighsOptions()
+    opts.presolve = "on"
+    opts.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    opts.log_to_console = False
+    opts.output_flag = False
+    fresh = core._Highs()
+    assert fresh.passOptions(opts) == core.HighsStatus.kOk
+    with monkeypatch.context() as m:
+        m.setattr(repgame.lp, "_load", lambda: (core, fresh, options_passed, to_status))
+        return linprog(*args)
+
+
+def test_shared_solver_carries_nothing_between_solves(monkeypatch):
+    # the recorded corpus (every score LP of two games, one of them with
+    # infeasible programs, and hull programs in and out of the hull), solved
+    # forwards, reversed and interleaved with an infeasible, an unbounded and
+    # a model-error program, equals a fresh solver's answer on every solve
+    corpus = []
+    real_scores, real_divergence = repgame.scores.linprog, repgame.divergence.linprog
+
+    def record(real):
+        def lp(*args):
+            corpus.append(args)
+            return real(*args)
+        return lp
+
+    monkeypatch.setattr(repgame.scores, "linprog", record(real_scores))
+    monkeypatch.setattr(repgame.divergence, "linprog", record(real_divergence))
+    ci_payoff_set(product_choice(0.9, 0.4, 0.0)[0], 1e-2)
+    ci_payoff_set(_mixed_feasibility_game(), 0.1)
+    rng = np.random.default_rng(21)
+    for k in range(40):
+        R = rng.dirichlet(np.full(3, 2.0), size=3) * 0.9 + 0.1 / 3
+        q = rng.dirichlet(np.ones(3)) @ R if k % 2 == 0 else rng.dirichlet(np.ones(3))
+        rho = SignalStructure(("a0", "a1", "a2"), ("y0", "y1", "y2"), R)
+        hull_membership(Distribution(rho.signals, q), rho)
+    monkeypatch.undo()
+
+    one = (np.array([1.0]), np.array([0], np.int32), np.array([0, 1], np.int32))
+    lb, ub = np.zeros(1), np.full(1, np.inf)
+    no_rows = (np.empty(0), np.empty(0, np.int32), np.zeros(2, np.int32))
+    odd = [(np.array([1.0]), one, np.array([-1.0]), lb, ub),       # infeasible
+           (np.array([-1.0]), no_rows, np.empty(0), lb, ub),       # unbounded
+           (np.array([1.0]), one, np.array([1.0]), ub, ub)]        # lower bound inf
+    core = repgame.lp._load()[0]   # the last one fails in passModel, before any solve
+    c, (data, indices, indptr), b, lo, hi = odd[2]
+    assert core._Highs().passModel(
+        1, 1, 1, core.MatrixFormat.kColwise, core.ObjSense.kMinimize, 0.0, c, lo, hi, b, b,
+        indptr, indices, data, np.zeros(1, np.int32)) == core.HighsStatus.kError
+    interleaved = [args for i, a in enumerate(corpus) for args in (a, odd[i % 3])]
+    statuses = []
+    for args in corpus + corpus[::-1] + interleaved:
+        res, ref = linprog(*args), _fresh_solve(monkeypatch, args)
+        assert _bits(res) == _bits(ref)
+        statuses.append(res.status)
+    assert {0, 2, 3} <= set(statuses)
+    assert [linprog(*args).message for args in odd] == [
+        "HiGHS: Infeasible", "HiGHS: Unbounded", "HiGHS: Model error"]
+
+
+def test_refused_options_give_status_4(monkeypatch):
+    # a solver that did not take the options is never handed a model
+    core, _, _, to_status = repgame.lp._load()
+    monkeypatch.setattr(repgame.lp, "_load", lambda: (core, core._Highs(), False, to_status))
+    A = (np.array([1.0]), np.array([0], np.int32), np.array([0, 1], np.int32))
+    res = linprog(np.array([1.0]), A, np.array([1.0]), np.zeros(1), np.full(1, np.inf))
+    assert (res.status, res.x, res.message) == (4, None, "HiGHS: Not Set")
