@@ -147,7 +147,7 @@ class SignalStructure:
         if np.any(m <= 0.0):
             i, j = np.unravel_index(int(np.argmin(m)), m.shape)
             raise ValueError(
-                f"SignalStructure: rho({signals[j]}|{actions[i]}) = {m[i, j]!r}; "
+                f"SignalStructure: rho({signals[j]}|{actions[i]}) = {float(m[i, j])!r}; "
                 "full support requires every entry > 0"
             )
         m.flags.writeable = False

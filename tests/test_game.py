@@ -135,3 +135,10 @@ def test_first_failing_row_raises_its_own_message(target, bad, message):
     with pytest.raises(ValueError) as err:
         _rows_target(target, m)
     assert str(err.value) == f"{_label(target, 'm1', 'a0')}: {message}"
+
+
+def test_full_support_message_prints_a_plain_number():
+    with pytest.raises(ValueError) as err:
+        SignalStructure(("a0", "a1"), ("y0", "y1"), np.array([[1.0, 0.0], [0.5, 0.5]]))
+    assert str(err.value) == ("SignalStructure: rho(y1|a0) = 0.0; "
+                              "full support requires every entry > 0")
