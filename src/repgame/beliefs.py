@@ -38,12 +38,14 @@ rounding of a row can depend on how many rows it multiplies.
 A batch holds about 34 bytes per run-period: four float64 panels (``mu``,
 ``ell``, ``u_flow``, ``tv_gap``) and the two uint8 index panels; ``kl_term``
 adds 8 more. The cap of 64M run-periods per batch (``_MAX_CELLS``) is thus
-about 2.2 GB of panels, or 2.7 GB with ``kl_term``.
+about 2.2 GB of panels, or 2.7 GB with ``kl_term``. The float panels sit in
+memory maps of their own (``_panel``), outside the malloc heap.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import warnings
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -444,6 +446,28 @@ def _count_log_weights(log_prior: np.ndarray, log_lik: np.ndarray, t: np.ndarray
     return lw
 
 
+# Where mmap takes flags (Unix), a panel's pages are faulted in by the one
+# mmap call (MAP_POPULATE, Linux) rather than one fault per page as it fills.
+_PANEL_MAP = ({"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+               | getattr(mmap, "MAP_POPULATE", 0)}
+              if hasattr(mmap, "MAP_ANONYMOUS") else {})
+
+
+def _panel(runs: int, periods: int) -> np.ndarray:
+    """A (runs, periods) float panel in an anonymous memory map of its own.
+
+    Freed, the map goes straight back to the system. In the malloc heap, a
+    batch's panels reused the space earlier batches freed only where it was
+    left in large enough pieces, so a long process's peak memory depended
+    on the order of its earlier batches: +22.5 MB, about one panel of the
+    benchmark's wide shape, on one to three in ten simulate runs. The cost
+    is fresh pages for every batch instead of reused ones.
+    """
+    n = runs * periods
+    return np.frombuffer(mmap.mmap(-1, max(8 * n, 8), **_PANEL_MAP), dtype=float,
+                         count=n).reshape(runs, periods)
+
+
 def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
               run_indices: np.ndarray) -> BatchResult:
     if framework.actions != game.actions_long or framework.signals != game.signals:
@@ -496,11 +520,11 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
     nA, nB = game.u.shape
     nY = len(game.signals)
 
-    mu = np.empty((R, T + 1))
-    ell = np.empty((R, T))
-    u_flow = np.empty((R, T))
-    tv_gap = np.empty((R, T))
-    kl_term = np.empty((R, T)) if p_star is not None else None
+    mu = _panel(R, T + 1)
+    ell = _panel(R, T)
+    u_flow = _panel(R, T)
+    tv_gap = _panel(R, T)
+    kl_term = _panel(R, T) if p_star is not None else None
 
     def evaluate(lw, t, F0):
         """Reputation, loss, TV gap, KL term and first best reply of the states
@@ -613,10 +637,7 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
                     seen[key[rows]] = True
                 cells = np.flatnonzero(seen)
                 rank = np.cumsum(seen, dtype=np.int32) - 1
-                # Freed before the evaluations: held through them, it left the
-                # heap too fragmented for the next batch's panels to reuse
-                # (peak RSS +24 MB over benchmark simulate rounds).
-                del seen
+                del seen  # the evaluations below do not need it
             last = np.searchsorted(cells, end)            # cells listed up to each period's end
             # Whole periods at a time, at most ``chunk`` cells unless one
             # period holds more; the panels take a block of rows at a time.
