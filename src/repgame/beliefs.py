@@ -35,11 +35,15 @@ bit-identical to run ``i`` simulated alone. The forecast is one of them: it
 is summed over models in model order (``_mix``), not a BLAS product, whose
 rounding of a row can depend on how many rows it multiplies.
 
-A batch holds about 34 bytes per run-period: four float64 panels (``mu``,
-``ell``, ``u_flow``, ``tv_gap``) and the two uint8 index panels; ``kl_term``
-adds 8 more. The cap of 64M run-periods per batch (``_MAX_CELLS``) is thus
-about 2.2 GB of panels, or 2.7 GB with ``kl_term``. The float panels sit in
-memory maps of their own (``_panel``), outside the malloc heap.
+A ``simulate_batch`` batch holds about 34 bytes per run-period: four float64
+panels (``mu``, ``ell``, ``u_flow``, ``tv_gap``) and the two uint8 index
+panels; ``kl_term`` adds 8 more. The cap of 64M run-periods per batch
+(``_MAX_CELLS``) is thus about 2.2 GB of panels, or 2.7 GB with ``kl_term``.
+A ``monte_carlo`` batch holds about 10: every run's ``mu``, ``actions`` and
+``signals``, run 0's row of the other panels, and each run's discounted sums
+of ``ell``, ``u_flow`` and ``kl_term``, which either kind of batch adds up a
+block at a time as the pass writes it. The float panels sit in memory maps
+of their own (``_panel``), outside the malloc heap.
 """
 
 from __future__ import annotations
@@ -168,17 +172,27 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Per-run, per-period panel from one batch of simulated paths.
+    """Per-run, per-period panels from one batch of simulated paths.
 
     ``mu`` has one extra column: entry [r, t] is run r's start-of-period-t
     reputation, and [r, T] is the final posterior after the last update.
+
+    A ``simulate_batch`` batch is full: every panel has a row per run. A
+    ``monte_carlo`` batch keeps ``mu``, ``actions`` and ``signals`` for every
+    run but only run 0's row, shape (1, T), of ``ell``, ``u_flow``,
+    ``tv_gap`` and ``kl_term``. Both carry each run's discounted sums
+    sum_t (1 - delta) delta^t x[r, t] of ``ell``, ``u_flow`` and
+    ``kl_term``, added a block at a time as the panels were written.
     """
 
     mu: np.ndarray        # (runs, T+1)
-    ell: np.ndarray       # (runs, T) short-run optimality loss
-    u_flow: np.ndarray    # (runs, T) realized long-run flow payoff
-    tv_gap: np.ndarray    # (runs, T) TV(true mix, forecast)
-    kl_term: np.ndarray | None  # (runs, T) KL(rho_target, forecast), if targeted
+    ell: np.ndarray       # (runs or 1, T) short-run optimality loss
+    u_flow: np.ndarray    # (runs or 1, T) realized long-run flow payoff
+    tv_gap: np.ndarray    # (runs or 1, T) TV(true mix, forecast)
+    kl_term: np.ndarray | None  # (runs or 1, T) KL(rho_target, forecast), if targeted
+    ell_disc: np.ndarray  # (runs,) discounted sums of ell
+    u_flow_disc: np.ndarray     # (runs,) discounted sums of u_flow
+    kl_disc: np.ndarray | None  # (runs,) discounted sums of kl_term, if targeted
     actions: np.ndarray   # (runs, T) realized long-run action indices
     signals: np.ndarray   # (runs, T) realized signal indices
     run_indices: np.ndarray
@@ -211,6 +225,9 @@ class TrajectoryRecord:
 
     @classmethod
     def from_batch(cls, batch: BatchResult, row: int) -> "TrajectoryRecord":
+        if row != 0 and len(batch.ell) < batch.runs:
+            raise ValueError(f"row {row}: this batch keeps run 0's path alone; "
+                             "simulate_batch or simulate_run give the others")
         return cls(
             mu=batch.mu[row], ell=batch.ell[row], u_flow=batch.u_flow[row],
             tv_gap=batch.tv_gap[row],
@@ -293,6 +310,12 @@ def _resolve_horizon(game: StageGame, config: SimulationConfig) -> tuple[int, fl
     return T, float(scale * config.delta ** T)
 
 
+def _discount_weights(delta: float, horizon: int) -> np.ndarray:
+    """(1 - delta) delta^t for t < horizon: a run's discounted sum is its
+    panel row times these."""
+    return (1.0 - delta) * delta ** np.arange(horizon)
+
+
 _MAX_CELLS = 64_000_000  # run-periods in one batch
 _CELLS = 1 << 16  # run-periods per chunk of the draw and per block of a scripted
                   # belief pass; a stationary one counts 8 * _CELLS at a time
@@ -367,14 +390,23 @@ def _sum_cols(x: np.ndarray) -> np.ndarray:
 
 def _mix(w: np.ndarray, F: np.ndarray) -> np.ndarray:
     """``sum_m w[..., m] * F[..., m, :]``, added in model order: the forecast
-    of posterior weights ``w`` over models with signal laws ``F``. One signal
-    column at a time, so each operation runs along the states."""
-    q = np.empty(np.broadcast_shapes(w.shape[:-1], F.shape[:-2]) + F.shape[-1:])
+    of posterior weights ``w`` over models with signal laws ``F``. With two
+    or more models the weights are copied model-major once, and each signal's
+    column is summed in one contiguous buffer, the products going through one
+    scratch buffer."""
+    shape = np.broadcast_shapes(w.shape[:-1], F.shape[:-2])
+    q = np.empty(shape + F.shape[-1:])
+    if w.shape[-1] == 1:
+        for y in range(F.shape[-1]):
+            np.multiply(w[..., 0], F[..., 0, y], out=q[..., y])
+        return q
+    wm = np.ascontiguousarray(np.moveaxis(w, -1, 0))
+    col, prod = np.empty(shape), np.empty(shape)
     for y in range(F.shape[-1]):
-        col = q[..., y]
-        np.multiply(w[..., 0], F[..., 0, y], out=col)
-        for m in range(1, w.shape[-1]):
-            col += w[..., m] * F[..., m, y]
+        np.multiply(wm[0], F[..., 0, y], out=col)
+        for m in range(1, len(wm)):
+            col += np.multiply(wm[m], F[..., m, y], out=prod)
+        q[..., y] = col
     return q
 
 
@@ -469,7 +501,12 @@ def _panel(runs: int, periods: int) -> np.ndarray:
 
 
 def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
-              run_indices: np.ndarray) -> BatchResult:
+              run_indices: np.ndarray, full: bool = True) -> BatchResult:
+    """One pass over the runs ``run_indices``. ``mu``, ``actions`` and
+    ``signals`` are kept for every run. ``full`` keeps the other panels for
+    every run too; otherwise only run 0's row of each is kept. Either way,
+    each block of ``ell``, ``u_flow`` and ``kl_term`` is added into the runs'
+    discounted sums as it is written."""
     if framework.actions != game.actions_long or framework.signals != game.signals:
         raise ValueError("framework and game disagree on action or signal labels")
     if config.true_type not in ("normal", "commitment"):
@@ -521,10 +558,12 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
     nY = len(game.signals)
 
     mu = _panel(R, T + 1)
-    ell = _panel(R, T)
-    u_flow = _panel(R, T)
-    tv_gap = _panel(R, T)
-    kl_term = _panel(R, T) if p_star is not None else None
+    kept = R if full else 1
+    ell, u_flow, tv_gap = _panel(kept, T), _panel(kept, T), _panel(kept, T)
+    kl_term = _panel(kept, T) if p_star is not None else None
+    w = _discount_weights(config.delta, T)
+    ell_disc, u_flow_disc = np.zeros(R), np.zeros(R)
+    kl_disc = np.zeros(R) if p_star is not None else None
 
     def evaluate(lw, t, F0):
         """Reputation, loss, TV gap, KL term and first best reply of the states
@@ -547,13 +586,31 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
             kl = p_star_ent - cross
         return (mu_s, loss_t[t * nB + b], tv, kl), b
 
+    def keep(at, panel, block, disc=None):
+        """Write ``block`` (runs, periods) of a panel at ``at``, a pair of
+        slices, or only its row of run 0 in a batch that is not full; add it
+        into the runs' discounted sums ``disc``."""
+        rows, cols = at
+        if full:
+            panel[at] = block
+        elif rows.start in (None, 0):
+            panel[0, cols] = block[0]
+        if disc is not None:
+            disc[rows] += block @ w[cols]
+
     def store(at, vals, get, u):
-        """Write ``get(v)``, (runs, periods), of each state value into the
-        panels at ``at``, one panel at a time, and ``u`` into ``u_flow``."""
-        for panel, v in zip((mu, ell, tv_gap, kl_term), vals):
-            if panel is not None:
-                panel[at] = get(v)
-        u_flow[at] = u
+        """Write ``get(v)``, (runs, periods), of each state value at ``at``,
+        one panel at a time, and ``u`` into ``u_flow``, as ``keep`` does past
+        ``mu``. ``tv_gap`` has no sums, so a block that keeps none of it is
+        not gathered."""
+        mu_s, ell_s, tv_s, kl_s = vals
+        mu[at] = get(mu_s)
+        keep(at, ell, get(ell_s), ell_disc)
+        keep(at, u_flow, u, u_flow_disc)
+        if full or at[0].start in (None, 0):
+            keep(at, tv_gap, get(tv_s))
+        if kl_term is not None:
+            keep(at, kl_term, get(kl_s), kl_disc)
 
     def reply_payoff(at, b):
         """Long-run flow payoffs u(a, b) of the run-periods at ``at``."""
@@ -691,6 +748,7 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
 
     return BatchResult(
         mu=mu, ell=ell, u_flow=u_flow, tv_gap=tv_gap, kl_term=kl_term,
+        ell_disc=ell_disc, u_flow_disc=u_flow_disc, kl_disc=kl_disc,
         actions=actions, signals=signals,
         run_indices=np.asarray(run_indices, dtype=np.int64),
         config=config, horizon=T, truncation=truncation,
@@ -699,13 +757,15 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
 
 
 def simulate_batch(game: StageGame, framework: Framework,
-                   config: SimulationConfig) -> BatchResult:
+                   config: SimulationConfig, *, _full: bool = True) -> BatchResult:
+    """Every run's full panels. ``monte_carlo`` passes ``_full=False`` to keep
+    only what its summary and run 0's path need (see ``BatchResult``)."""
     if config.runs < 1:
         raise ValueError("config.runs must be >= 1")
     if config.runs > _MAX_CELLS:
         raise ValueError(f"runs*horizon is at least {config.runs} run-periods, above the "
                          f"cap of {_MAX_CELLS}; lower runs")
-    return _simulate(game, framework, config, np.arange(config.runs))
+    return _simulate(game, framework, config, np.arange(config.runs), _full)
 
 
 def simulate_run(game: StageGame, framework: Framework, config: SimulationConfig,
@@ -793,15 +853,14 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
 
 def monte_carlo(game: StageGame, framework: Framework, config: SimulationConfig
                 ) -> tuple[MonteCarloSummary, BatchResult]:
-    batch = simulate_batch(game, framework, config)
+    """Summary of a batch that keeps every run's ``mu``, ``actions`` and
+    ``signals``, run 0's row of the other panels and every run's discounted
+    sums (see ``BatchResult``): about 10 bytes per run-period."""
+    batch = simulate_batch(game, framework, config, _full=False)
     T, d = batch.horizon, config.delta
-    w = (1.0 - d) * d ** np.arange(T)
-    mu_runs = batch.mu[:, :T] @ w
-    ell_runs = batch.ell @ w
-    pay_runs = batch.u_flow @ w
-    mu_m, mu_se = _mean_se(mu_runs)
-    el_m, el_se = _mean_se(ell_runs)
-    pa_m, pa_se = _mean_se(pay_runs)
+    mu_m, mu_se = _mean_se(batch.mu[:, :T] @ _discount_weights(d, T))
+    el_m, el_se = _mean_se(batch.ell_disc)
+    pa_m, pa_se = _mean_se(batch.u_flow_disc)
     curve = batch.mu.mean(axis=0)
     try:
         decay = decay_rate_fit(curve)
@@ -843,7 +902,7 @@ class CertificateReport:
 def discounted_kl_certificate(batch: BatchResult, framework: Framework,
                               model: int | str) -> CertificateReport:
     cfg = batch.config
-    if batch.kl_term is None or cfg.alpha_star_target is None:
+    if batch.kl_disc is None or cfg.alpha_star_target is None:
         raise ValueError("certificate needs a batch recorded with alpha_star_target set")
     actual = framework.commitment_action if cfg.true_type == "commitment" else cfg.normal_strategy
     if not isinstance(actual, Distribution) or not np.allclose(
@@ -856,9 +915,7 @@ def discounted_kl_certificate(batch: BatchResult, framework: Framework,
     target = Distribution(framework.signals, batch.target_signal_dist)
     eps = kl(target, framework.commitment_slice_dist(m))
     d = cfg.delta
-    T = batch.horizon
-    w = (1.0 - d) * d ** np.arange(T)
-    lhs = batch.kl_term @ w
+    lhs = batch.kl_disc
     rhs = -(1.0 - d) * math.log(prior_mass) + eps
     ok = lhs <= rhs + CERTIFICATE_SLACK
     return CertificateReport(

@@ -38,7 +38,11 @@ def _as_kernel(arr, models, actions, signals, what: str) -> np.ndarray:
                          lambda r: f"{what} f(.|{actions[r % n_a]},{models[r // n_a]})")
     out = rows.reshape(expected)
     if np.any(out <= 0.0):
-        raise ValueError(f"{what}: kernels must be strictly positive (full support)")
+        m, a, y = np.unravel_index(int(np.argmin(out)), expected)
+        raise ValueError(
+            f"{what}: f({signals[y]}|{actions[a]},{models[m]}) = {float(out[m, a, y])!r}; "
+            "full support requires every entry > 0"
+        )
     out.flags.writeable = False
     return out
 

@@ -233,7 +233,8 @@ def test_trajectory_csv_round_trip(tmp_path, game06, fw06):
 
 
 def test_monte_carlo_summary(game06, fw06):
-    summary, batch = monte_carlo(game06, fw06, small_cfg(game06, runs=6))
+    cfg = small_cfg(game06, runs=6)
+    summary, batch = monte_carlo(game06, fw06, cfg)
     u_min, u_max = game06.u_range
     assert u_min <= summary.payoff <= u_max
     assert 0.0 <= summary.disc_avg_mu <= 1.0
@@ -242,9 +243,10 @@ def test_monte_carlo_summary(game06, fw06):
     d = summary.to_dict()
     json.dumps(d)  # JSON-ready, no numpy scalars
     assert d["mu_final_mean"] == pytest.approx(float(batch.mu[:, -1].mean()))
-    # hand-check one aggregate against the panel
+    # hand-check one aggregate against the full panel of the same runs
     w = 0.05 * 0.95 ** np.arange(batch.horizon)
-    assert summary.payoff == pytest.approx(float((batch.u_flow @ w).mean()), abs=1e-12)
+    u_flow = simulate_batch(game06, fw06, cfg).u_flow
+    assert summary.payoff == pytest.approx(float((u_flow @ w).mean()), abs=1e-12)
 
 
 def test_monte_carlo_without_a_decay_fit(game06, fw06):
@@ -749,6 +751,74 @@ def _row(batch, field, k):
     return None if panel is None else panel[k]
 
 
+def _perturbation_member_case(horizon):
+    """verify's perturbation member n = 3 (two models), playing a_l."""
+    game, base = product_choice(0.6, 0.3, 0.15)
+    fw = perturbation_sequence(game, base, 5)[2]
+    return game, fw, dict(normal_strategy=a_dist(game, [0.0, 1.0]))
+
+
+STREAMED_CASES = {
+    "stationary": ORACLE_CASES["stationary"],
+    "perturbation-member": _perturbation_member_case,
+    "scripted-conjecture": ORACLE_CASES["conjecture"],
+    "targeted": _survival_case,
+}
+
+
+def _panel_summary(batch, delta):
+    """monte_carlo's reductions over a full batch's panels."""
+    T = batch.horizon
+    w = (1.0 - delta) * delta ** np.arange(T)
+
+    def mean_se(x):
+        return float(x.mean()), float(x.std(ddof=1) / math.sqrt(x.size))
+
+    (mu, mu_se), (ell, ell_se), (pay, pay_se) = (
+        mean_se(p @ w) for p in (batch.mu[:, :T], batch.ell, batch.u_flow))
+    return dict(disc_avg_mu=mu, disc_avg_mu_se=mu_se, disc_avg_ell=ell,
+                disc_avg_ell_se=ell_se, payoff=pay, payoff_se=pay_se)
+
+
+# 2 runs: a stationary strip is evaluated per run-period; 300 runs: per cell,
+# in two blocks of rows, and a scripted pass in two blocks of periods
+@pytest.mark.parametrize("case", list(STREAMED_CASES))
+@pytest.mark.parametrize("runs", [2, 300])
+def test_monte_carlo_streams_what_simulate_batch_keeps(case, runs):
+    game, fw, kw = STREAMED_CASES[case](400)
+    cfg = SimulationConfig(delta=0.95, master_seed=20261022, runs=runs, horizon=400, **kw)
+    summary, mc = monte_carlo(game, fw, cfg)
+    full = simulate_batch(game, fw, cfg)
+    T = full.horizon
+    want = _panel_summary(full, cfg.delta)
+    for name, value in want.items():
+        assert abs(getattr(summary, name) - value) <= 1e-12, name
+    assert np.array_equal(summary.mean_mu_curve, full.mu.mean(axis=0))
+    for name in ("mu", "actions", "signals", "run_indices"):
+        assert np.array_equal(getattr(mc, name), getattr(full, name)), name
+    rec = simulate_run(game, fw, cfg, 0)
+    mc_rec = TrajectoryRecord.from_batch(mc, 0)
+    for name in ("ell", "u_flow", "tv_gap", "kl_term"):
+        kept = getattr(mc, name)
+        if kept is None:
+            assert getattr(full, name) is None and getattr(rec, name) is None
+            continue
+        assert kept.shape == (1, T), name
+        assert np.array_equal(kept[0], getattr(full, name)[0]), name
+        assert np.array_equal(kept[0], getattr(rec, name)), name
+    for name in PANELS:
+        assert np.array_equal(getattr(mc_rec, name), getattr(rec, name)), name
+    for row in (1, -1):
+        with pytest.raises(ValueError, match="run 0's path alone"):
+            TrajectoryRecord.from_batch(mc, row)
+    if cfg.alpha_star_target is not None:
+        w = 0.05 * 0.95 ** np.arange(T)
+        cert = discounted_kl_certificate(mc, fw, "m0")
+        assert cert.lhs.shape == (runs,)
+        assert np.abs(cert.lhs - full.kl_term @ w).max() <= 1e-12
+        assert cert.holds_all == discounted_kl_certificate(full, fw, "m0").holds_all
+
+
 def test_long_runs_match_across_the_branch_switch():
     # 3 runs over 20,000 periods: the strip's box of counts holds more cells
     # than its run-periods, so the batch is evaluated per run-period, and each
@@ -894,6 +964,20 @@ def test_batch_memory_is_about_34_bytes_per_run_period():
     alpha_mat = np.tile(cfg.normal_strategy.weights, (horizon, 1))
     assert _traced_peak(_draw, 1, np.arange(runs), alpha_mat,
                         game.rho.matrix)[0] <= 2 * runs * horizon + 4 * 2**20
+
+
+def test_monte_carlo_memory_is_about_10_bytes_per_run_period():
+    # every run's mu (8 bytes a run-period) and index panels (1 byte each),
+    # run 0's row of the other panels and the per-run sums; no float panel
+    # but mu's lies in the heap or in a map
+    game, fw = product_choice(0.6, 0.3, 0.15)
+    runs, horizon = 5000, 400
+    cfg = SimulationConfig(delta=0.95, master_seed=1, runs=runs, horizon=horizon,
+                           normal_strategy=a_dist(game, [0.0, 1.0]))
+    peak, (_, batch) = _traced_peak(monte_carlo, game, fw, cfg)
+    panels = [batch.mu, batch.ell, batch.u_flow, batch.tv_gap]
+    assert peak < 8 * runs * horizon
+    assert peak + sum(p.nbytes for p in panels) <= 11 * runs * horizon + 16 * 2**20
 
 
 def test_logsumexp_is_scipys_bit_for_bit():

@@ -142,3 +142,15 @@ def test_full_support_message_prints_a_plain_number():
         SignalStructure(("a0", "a1"), ("y0", "y1"), np.array([[1.0, 0.0], [0.5, 0.5]]))
     assert str(err.value) == ("SignalStructure: rho(y1|a0) = 0.0; "
                               "full support requires every entry > 0")
+
+
+@pytest.mark.parametrize("target", ["normal kernels", "commitment kernels"])
+def test_kernel_full_support_message_names_the_entry(target):
+    # the zero entries are f(y1|a0,m1) and, later, f(y2|a1,m1): the first is named
+    m = np.full((2, 2, 3), 1 / 3)
+    m[1, 0] = [0.5, 0.0, 0.5]
+    m[1, 1] = [0.5, 0.5, 0.0]
+    with pytest.raises(ValueError) as err:
+        _rows_target(target, m)
+    assert str(err.value) == (f"{target}: f(y1|a0,m1) = 0.0; "
+                              "full support requires every entry > 0")
