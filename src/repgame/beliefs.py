@@ -390,23 +390,14 @@ def _sum_cols(x: np.ndarray) -> np.ndarray:
 
 def _mix(w: np.ndarray, F: np.ndarray) -> np.ndarray:
     """``sum_m w[..., m] * F[..., m, :]``, added in model order: the forecast
-    of posterior weights ``w`` over models with signal laws ``F``. With two
-    or more models the weights are copied model-major once, and each signal's
-    column is summed in one contiguous buffer, the products going through one
-    scratch buffer."""
-    shape = np.broadcast_shapes(w.shape[:-1], F.shape[:-2])
-    q = np.empty(shape + F.shape[-1:])
-    if w.shape[-1] == 1:
-        for y in range(F.shape[-1]):
-            np.multiply(w[..., 0], F[..., 0, y], out=q[..., y])
-        return q
-    wm = np.ascontiguousarray(np.moveaxis(w, -1, 0))
-    col, prod = np.empty(shape), np.empty(shape)
+    of posterior weights ``w`` over models with signal laws ``F``. One signal
+    column at a time, so each operation runs along the states."""
+    q = np.empty(np.broadcast_shapes(w.shape[:-1], F.shape[:-2]) + F.shape[-1:])
     for y in range(F.shape[-1]):
-        np.multiply(wm[0], F[..., 0, y], out=col)
-        for m in range(1, len(wm)):
-            col += np.multiply(wm[m], F[..., m, y], out=prod)
-        q[..., y] = col
+        col = q[..., y]
+        np.multiply(w[..., 0], F[..., 0, y], out=col)
+        for m in range(1, w.shape[-1]):
+            col += w[..., m] * F[..., m, y]
     return q
 
 
@@ -587,30 +578,33 @@ def _simulate(game: StageGame, framework: Framework, config: SimulationConfig,
         return (mu_s, loss_t[t * nB + b], tv, kl), b
 
     def keep(at, panel, block, disc=None):
-        """Write ``block`` (runs, periods) of a panel at ``at``, a pair of
-        slices, or only its row of run 0 in a batch that is not full; add it
-        into the runs' discounted sums ``disc``."""
+        """Write the block ``block()``, (runs, periods), of a panel at ``at``,
+        a pair of slices, or only its row of run 0 in a batch that is not
+        full; add it into the runs' discounted sums ``disc``. A block that is
+        neither kept nor summed is not gathered."""
         rows, cols = at
+        kept = full or rows.start in (None, 0)
+        if not kept and disc is None:
+            return
+        x = block()
         if full:
-            panel[at] = block
-        elif rows.start in (None, 0):
-            panel[0, cols] = block[0]
+            panel[at] = x
+        elif kept:
+            panel[0, cols] = x[0]
         if disc is not None:
-            disc[rows] += block @ w[cols]
+            disc[rows] += x @ w[cols]
 
     def store(at, vals, get, u):
-        """Write ``get(v)``, (runs, periods), of each state value at ``at``,
-        one panel at a time, and ``u`` into ``u_flow``, as ``keep`` does past
-        ``mu``. ``tv_gap`` has no sums, so a block that keeps none of it is
-        not gathered."""
+        """Write ``get(v)``, (runs, periods), of each state value into the
+        panels at ``at``, one panel at a time, and ``u`` into ``u_flow``,
+        through ``keep`` past ``mu``."""
         mu_s, ell_s, tv_s, kl_s = vals
         mu[at] = get(mu_s)
-        keep(at, ell, get(ell_s), ell_disc)
-        keep(at, u_flow, u, u_flow_disc)
-        if full or at[0].start in (None, 0):
-            keep(at, tv_gap, get(tv_s))
+        keep(at, ell, lambda: get(ell_s), ell_disc)
+        keep(at, u_flow, lambda: u, u_flow_disc)
+        keep(at, tv_gap, lambda: get(tv_s))
         if kl_term is not None:
-            keep(at, kl_term, get(kl_s), kl_disc)
+            keep(at, kl_term, lambda: get(kl_s), kl_disc)
 
     def reply_payoff(at, b):
         """Long-run flow payoffs u(a, b) of the run-periods at ``at``."""
@@ -855,7 +849,13 @@ def monte_carlo(game: StageGame, framework: Framework, config: SimulationConfig
                 ) -> tuple[MonteCarloSummary, BatchResult]:
     """Summary of a batch that keeps every run's ``mu``, ``actions`` and
     ``signals``, run 0's row of the other panels and every run's discounted
-    sums (see ``BatchResult``): about 10 bytes per run-period."""
+    sums (see ``BatchResult``): about 10 bytes per run-period.
+
+    Unlike ``simulate_batch``'s, the batch's ``ell``, ``u_flow``, ``tv_gap``
+    and ``kl_term`` have shape (1, T), not (runs, T): a reduction over them
+    sees run 0 alone. Reduce ``ell_disc``, ``u_flow_disc`` and ``kl_disc``
+    instead, or call ``simulate_batch`` for every run's panels.
+    ``len(batch.ell) < batch.runs`` tells such a batch apart."""
     batch = simulate_batch(game, framework, config, _full=False)
     T, d = batch.horizon, config.delta
     mu_m, mu_se = _mean_se(batch.mu[:, :T] @ _discount_weights(d, T))
