@@ -43,7 +43,9 @@ A ``monte_carlo`` batch holds about 10: every run's ``mu``, ``actions`` and
 ``signals``, run 0's row of the other panels, and each run's discounted sums
 of ``ell``, ``u_flow`` and ``kl_term``, which either kind of batch adds up a
 block at a time as the pass writes it. The float panels sit in memory maps
-of their own (``_panel``), outside the malloc heap.
+of their own (``_panel``), outside the malloc heap. A caller that reduces
+full panels a chunk of runs at a time takes them from ``_run_chunks``:
+consecutive full batches of at most ``_CHUNK_CELLS`` (2**18) run-periods.
 """
 
 from __future__ import annotations
@@ -319,6 +321,7 @@ def _discount_weights(delta: float, horizon: int) -> np.ndarray:
 _MAX_CELLS = 64_000_000  # run-periods in one batch
 _CELLS = 1 << 16  # run-periods per chunk of the draw and per block of a scripted
                   # belief pass; a stationary one counts 8 * _CELLS at a time
+_CHUNK_CELLS = 1 << 18  # run-periods per batch of _run_chunks
 
 
 def _draw(master_seed: int, run_indices: np.ndarray, alpha_mat: np.ndarray,
@@ -353,16 +356,16 @@ def _draw(master_seed: int, run_indices: np.ndarray, alpha_mat: np.ndarray,
     buf = np.empty((min(R, chunk), T, 2))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
-    state["buffer_pos"] = 4
-    keys = np.empty((R, 2), dtype=np.uint64)  # each run's key: low, high 64 bits
-    keys[:, 0] = run_indices
-    keys[:, 1] = master_seed
+    # Philox(key=0)'s state in plain ints, which the setter reads faster than
+    # uint64 arrays; a run's key is (run, master_seed), low 64 bits first.
+    key = [0, int(master_seed)]
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    runs = np.asarray(run_indices).tolist()
     for r0 in range(0, R, chunk):
         u = buf[:min(chunk, R - r0)]
         for i in range(len(u)):
-            state["state"]["key"] = keys[r0 + i]
+            key[0] = runs[r0 + i]
             bitgen.state = state
             gen.random(out=u[i])
         a = actions[r0:r0 + len(u)]
@@ -760,6 +763,23 @@ def simulate_batch(game: StageGame, framework: Framework,
         raise ValueError(f"runs*horizon is at least {config.runs} run-periods, above the "
                          f"cap of {_MAX_CELLS}; lower runs")
     return _simulate(game, framework, config, np.arange(config.runs), _full)
+
+
+def _run_chunks(game: StageGame, framework: Framework, config: SimulationConfig):
+    """``config``'s runs as consecutive full batches of at most ``_CHUNK_CELLS``
+    run-periods (one run at least), as few as that allows and of sizes that
+    differ by one run at most. Run k is bit-identical at any batch size, so
+    the chunks' rows are those of one ``simulate_batch``. A chunk is built
+    when the next is asked for: a caller that drops each one first holds one
+    chunk's panels at a time, not the whole batch's.
+
+    Even sizes, not full chunks and a remainder: a stationary conjecture's
+    pass evaluates each count state its runs visit, and a chunk of a few
+    runs visits nearly as many as a full one."""
+    R = config.runs
+    n = -(-R // max(1, _CHUNK_CELLS // _resolve_horizon(game, config)[0]))
+    for i in range(n):
+        yield _simulate(game, framework, config, np.arange(i * R // n, (i + 1) * R // n))
 
 
 def simulate_run(game: StageGame, framework: Framework, config: SimulationConfig,

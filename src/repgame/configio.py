@@ -2,9 +2,10 @@
 
 A config either names a registry scenario or spells out the game and framework
 explicitly, as a pair. A document with both, as ``scenario emit`` writes it,
-must hold in its explicit blocks exactly what its scenario builds. The top
-level, the ``scenario``, ``simulation`` and ``bounds`` blocks take only the
-keys below; any other key is a ConfigError that names it. Model kernels are
+must hold in its explicit blocks exactly what its scenario builds. Every block
+takes only the keys below (``framework`` also takes the unread
+``normal_correctly_specified`` of older documents); any other key is a
+ConfigError that names it. Model kernels are
 nested as [model][type][action][signal] with type order (normal, commitment).
 Everything numeric survives an emit/load cycle exactly: the json module prints
 shortest-round-trip floats.
@@ -84,8 +85,15 @@ def _block(d, key: str) -> dict:
     return d
 
 
+_GAME_KEYS = ("actions_long", "actions_short", "signals", "u", "v_tilde", "rho")
+# Older documents carry normal_correctly_specified. Whether the normal kernels
+# are rho is read from the kernels, so the key is accepted and never read.
+_FRAMEWORK_KEYS = ("models", "kernels", "prior", "commitment_action",
+                   "normal_correctly_specified")
+
+
 def game_from_dict(d: dict) -> StageGame:
-    _block(d, "game")
+    _only(_block(d, "game"), _GAME_KEYS, "'game'")
     try:
         rho = SignalStructure(tuple(_require(d, "actions_long", "game")),
                               tuple(_require(d, "signals", "game")),
@@ -113,7 +121,7 @@ def framework_to_dict(fw: Framework) -> dict:
 
 def framework_from_dict(d: dict, actions: tuple[str, ...],
                         signals: tuple[str, ...]) -> Framework:
-    _block(d, "framework")
+    _only(_block(d, "framework"), _FRAMEWORK_KEYS, "'framework'")
     try:
         kernels = np.asarray(_require(d, "kernels", "framework"), dtype=float)
         if kernels.ndim != 4 or kernels.shape[1] != 2:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import (BeliefState, SimulationConfig, azuma_diagnostic, bayes_step,
-                      decay_rate_fit, discounted_kl_certificate, monte_carlo,
+from .beliefs import (BeliefState, SimulationConfig, _run_chunks, azuma_diagnostic,
+                      bayes_step, decay_rate_fit, discounted_kl_certificate, monte_carlo,
                       predictive, simulate_batch, simulate_run)
 from .bruteforce import grid_min_kl_forward, grid_min_kl_reverse
 from .configio import (emit_scenario_document, framework_to_dict, game_to_dict,
@@ -197,28 +197,52 @@ def suite_hull_vs_kl(n_cases: int = 500) -> list[CheckResult]:
 # 5. reputation collapse under a separating framework
 
 
-def _collapse_batch(runs: int, horizon: int, epsilon: float = 0.15):
+def _collapse_config(runs: int, horizon: int, epsilon: float = 0.15):
     game, fw = product_choice(0.6, 0.3, epsilon)
     a_l = Distribution(game.actions_long, np.array([0.0, 1.0]))
     cfg = SimulationConfig(delta=0.9, master_seed=_SEED, runs=runs,
                            true_type="normal", normal_strategy=a_l, horizon=horizon)
-    return game, fw, simulate_batch(game, fw, cfg)
+    return game, fw, cfg
+
+
+def _mu_and_excess(game, fw, cfg, r_n: float | None = None):
+    """Every run's ``mu``, (runs, T+1), and the largest excess of the loss
+    over its bound: ell - (4 ||vt||) mu, or ell - (4 ||vt||) (mu + r_n) given
+    ``r_n``, over every run-period. The runs are simulated a chunk at a time
+    (``beliefs._run_chunks``), and each chunk is dropped before the next is
+    built, so of the other panels one chunk's are held at a time."""
+    c = 4.0 * game.v_tilde_sup
+    mu, maxima = None, []
+    for batch in _run_chunks(game, fw, cfg):
+        if mu is None:
+            mu = np.empty((cfg.runs, batch.horizon + 1))
+        mu[batch.run_indices[0]:batch.run_indices[-1] + 1] = batch.mu
+        x = batch.mu[:, :batch.horizon]
+        if r_n is None:
+            bound = np.multiply(x, c)
+        else:
+            bound = np.add(x, r_n)
+            bound *= c
+        maxima.append(np.subtract(batch.ell, bound, out=bound).max())
+        del batch, x, bound
+    return mu, float(np.max(maxima))
 
 
 def suite_collapse() -> list[CheckResult]:
     t0 = time.perf_counter()
-    game, fw, batch = _collapse_batch(runs=2000, horizon=400)
-    T = batch.horizon
+    game, fw, cfg = _collapse_config(runs=2000, horizon=400)
+    mu, worst = _mu_and_excess(game, fw, cfg)
+    T = mu.shape[1] - 1
     rows = []
 
-    fit = decay_rate_fit(batch.mu.mean(axis=0))
+    fit = decay_rate_fit(mu.mean(axis=0))
     rows.append(_row("collapse", "decay slope of ln mean reputation",
                      fit.slope < -0.01, f"{fit.slope:.4f}", "< -0.01"))
 
     vals = []
     for d in (0.9, 0.99, 0.999):
         w = (1.0 - d) * d ** np.arange(T)
-        vals.append(float((batch.mu[:, :T] @ w).mean()))
+        vals.append(float((mu[:, :T] @ w).mean()))
     decreasing = vals[0] > vals[1] > vals[2]
     rows.append(_row("collapse", "discounted reputation falls with patience",
                      decreasing, " > ".join(f"{v:.4f}" for v in vals),
@@ -226,8 +250,6 @@ def suite_collapse() -> list[CheckResult]:
     rows.append(_row("collapse", "discounted reputation at delta=0.999",
                      vals[2] < 0.05, f"{vals[2]:.4f}", "< 0.05"))
 
-    bound = 4.0 * game.v_tilde_sup * batch.mu[:, :T]
-    worst = float((batch.ell - bound).max())
     rows.append(_row("collapse", "per-period loss within 4*||vt||*mu",
                      worst <= 1e-12, f"max excess {worst:.2e}", "<= 1e-12"))
     rows.append(_runtime_row("collapse", t0, 300.0))
@@ -267,7 +289,8 @@ def suite_survival() -> list[CheckResult]:
 
 def suite_tail_bound() -> list[CheckResult]:
     t0 = time.perf_counter()
-    game, fw, batch = _collapse_batch(runs=2000, horizon=256)
+    game, fw, cfg = _collapse_config(runs=2000, horizon=256)
+    batch = simulate_batch(game, fw, cfg, _full=False)  # the rows read signals alone
     zeta = separation_value(fw, game.rho).value
     report = azuma_diagnostic(batch, game, fw, zeta, checkpoints=[25, 50, 100, 200])
     rows = []
@@ -306,7 +329,7 @@ def suite_normal_misspec() -> list[CheckResult]:
 
     cfg = SimulationConfig(delta=0.9, master_seed=_SEED + 2, runs=200,
                            true_type="normal", normal_strategy=a_h, horizon=1000)
-    batch = simulate_batch(game, fw, cfg)
+    batch = simulate_batch(game, fw, cfg, _full=False)  # the row reads mu alone
     frac = float((batch.mu[:, -1] >= 0.99).mean())
     rows.append(_row("normal-misspec", "posterior on commitment >= 0.99 by t=1000",
                      frac >= 0.95, f"{frac:.1%} of 200 runs", ">= 95%"))
@@ -344,16 +367,14 @@ def suite_perturbation() -> list[CheckResult]:
     a_l = Distribution(game.actions_long, np.array([0.0, 1.0]))
     cfg = SimulationConfig(delta=0.9, master_seed=_SEED + 3, runs=1000,
                            true_type="normal", normal_strategy=a_l, horizon=400)
-    batch = simulate_batch(game, fw3, cfg)
-    fit = decay_rate_fit(batch.mu.mean(axis=0))
-    rows.append(_row("perturbation", "collapse slope on the n=3 member",
-                     fit.slope < -0.01, f"{fit.slope:.4f}", "< -0.01"))
     r_n = max(tv(Distribution(game.signals, game.rho.matrix[a]),
                  Distribution(game.signals, fw3.normal_kernels[m, a]))
               for a in range(len(game.actions_long))
               for m in range(fw3.n_models))
-    bound = 4.0 * game.v_tilde_sup * (batch.mu[:, :batch.horizon] + r_n)
-    worst = float((batch.ell - bound).max())
+    mu, worst = _mu_and_excess(game, fw3, cfg, r_n)
+    fit = decay_rate_fit(mu.mean(axis=0))
+    rows.append(_row("perturbation", "collapse slope on the n=3 member",
+                     fit.slope < -0.01, f"{fit.slope:.4f}", "< -0.01"))
     rows.append(_row("perturbation", "loss within 4*||vt||*(mu + r_n)",
                      worst <= 1e-12, f"max excess {worst:.2e} (r_n={r_n:.3f})",
                      "<= 1e-12"))

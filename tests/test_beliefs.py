@@ -19,7 +19,7 @@ from scipy.special import expit, gammaln, logsumexp
 import repgame.beliefs
 from repgame.beliefs import (BeliefState, SimulationConfig, TrajectoryRecord,
                              _count_log_weights, _draw, _logsumexp, _reputation,
-                             _resolve_horizon, _schedule,
+                             _resolve_horizon, _run_chunks, _schedule,
                              azuma_diagnostic, bayes_step,
                              certificate_kl_ceiling, decay_rate_fit,
                              discounted_kl_certificate, monte_carlo,
@@ -922,21 +922,48 @@ def test_mean_reputation_follows_the_binomial_law():
         assert abs(mu[:, j].mean() - exact) <= 4.0 * se, (t, mu[:, j].mean(), exact, se)
 
 
-# horizon 5: a chunk of the draw holds 1, 3 and all 4 runs
+# horizon 5: a chunk of the draw holds 1, 3 and all 5 runs. The seed fills
+# the key's high 64 bits and the run its low ones, up to their largest values.
 @pytest.mark.parametrize("cells", [5, 15, 1 << 16])
 def test_chunked_draw_matches_one_philox_per_run(monkeypatch, cells):
     monkeypatch.setattr(repgame.beliefs, "_CELLS", cells)
-    seed = 2**63 - 1
-    runs = np.array([0, 1, 2**40 + 3, 2**63 - 1])
+    runs = np.array([0, 1, 2**32, 2**40 + 3, 2**63 - 1])
     rng = np.random.default_rng(6)
     alpha_mat = np.vstack([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], rng.dirichlet(np.ones(3), 3)])
     R_mat = rng.dirichlet(np.ones(4), 3)
-    actions, signals = _draw(seed, runs, alpha_mat, R_mat)
-    want = _reference_draw(_reference_uniforms(seed, runs, 5), alpha_mat, R_mat)
-    assert np.array_equal(actions, want[0]) and np.array_equal(signals, want[1])
-    assert actions.dtype == signals.dtype == np.uint8
+    for seed in (0, 20260816, 2**63 - 1):
+        actions, signals = _draw(seed, runs, alpha_mat, R_mat)
+        want = _reference_draw(_reference_uniforms(seed, runs, 5), alpha_mat, R_mat)
+        assert np.array_equal(actions, want[0]) and np.array_equal(signals, want[1]), seed
+        assert actions.dtype == signals.dtype == np.uint8
     with pytest.raises(ValueError, match="non-negative"):
         _draw(seed, np.array([3, -1]), alpha_mat, R_mat)
+
+
+# verify's collapse batch (one model) and perturbation's n = 3 member (two
+# models): 200 runs at 70 a chunk at most are three chunks of 66, 67 and 67.
+# Every panel matches; the discounted sums are added in blocks whose shape
+# depends on the batch's, so their last bits may not.
+@pytest.mark.parametrize("case", ["stationary-a_l", "two-models"])
+def test_run_chunks_are_one_batch(monkeypatch, case):
+    monkeypatch.setattr(repgame.beliefs, "_CHUNK_CELLS", 70 * 400 + 399)
+    game, fw, kw = {**ORACLE_CASES, "stationary-a_l": _pc_case(0.0)}[case](400)
+    cfg = SimulationConfig(delta=0.9, master_seed=20261023, runs=200, horizon=400, **kw)
+    chunks = list(_run_chunks(game, fw, cfg))
+    assert [c.runs for c in chunks] == [66, 67, 67]
+    batch = simulate_batch(game, fw, cfg)
+    for field in ("mu", "ell", "u_flow", "tv_gap", "actions", "signals", "run_indices"):
+        got = np.concatenate([getattr(c, field) for c in chunks])
+        assert got.dtype == getattr(batch, field).dtype, field
+        assert np.array_equal(got, getattr(batch, field)), field
+    assert all(c.kl_term is None and c.horizon == 400 for c in chunks)
+
+
+def test_run_chunks_take_at_least_one_run(monkeypatch):
+    monkeypatch.setattr(repgame.beliefs, "_CHUNK_CELLS", 10)
+    game, fw, kw = _pc_case(0.0)(40)
+    cfg = SimulationConfig(delta=0.9, master_seed=3, runs=3, horizon=40, **kw)
+    assert [c.runs for c in _run_chunks(game, fw, cfg)] == [1, 1, 1]
 
 
 def _traced_peak(fn, *args):

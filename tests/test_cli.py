@@ -394,6 +394,28 @@ def _explicit_doc():
     return doc
 
 
+@pytest.mark.parametrize("scenario", [False, True])
+@pytest.mark.parametrize("block, key", [
+    ("game", "rho_"),
+    ("game", "v"),
+    ("framework", "normal_kernal"),
+    ("framework", "commitment_kernels"),
+])
+def test_unknown_game_or_framework_key_is_a_config_error(capsys, tmp_path, scenario,
+                                                         block, key):
+    doc = emit_scenario_document("product_choice", {"p": 0.6, "q": 0.3, "epsilon": 0.15})
+    if not scenario:
+        del doc["scenario"]
+    doc[block][key] = doc[block]["rho" if block == "game" else "kernels"]
+    path = tmp_path / "cfg.json"
+    dump_document(doc, path)
+    code, out, err = run(capsys, "check-separation", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"config error: '{block}' takes only ")
+    assert f"got [{key!r}]" in err
+
+
 @pytest.mark.parametrize("doc, block", [
     ({"scenario": 3}, "'scenario'"),
     ({"scenario": {"name": "product_choice", "params": 3}}, "'scenario.params'"),

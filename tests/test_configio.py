@@ -39,10 +39,13 @@ def test_framework_round_trip(fw06, game06):
 @pytest.mark.parametrize("flag", [True, False, "x"])
 def test_framework_block_ignores_keys_it_does_not_read(fw06, game06, flag):
     # older documents carry a normal_correctly_specified key; whether the normal
-    # kernels are rho is a fact of the kernels, so the key is not read
+    # kernels are rho is a fact of the kernels, so the key is not read. It is
+    # the one such key the block takes: any other is refused, named.
     d = {**framework_to_dict(fw06), "normal_correctly_specified": flag}
     f2 = framework_from_dict(d, game06.actions_long, game06.signals)
     assert np.array_equal(f2.normal_kernels, fw06.normal_kernels)
+    with pytest.raises(ConfigError, match="got \\['normal_kernal'\\]"):
+        framework_from_dict({**d, "normal_kernal": flag}, game06.actions_long, game06.signals)
 
 
 def test_framework_dict_rejects_wrong_kernel_shape(fw06, game06):
